@@ -743,9 +743,9 @@ fn run_live(opts: &Options) -> Result<(), String> {
 
     let host_config = SystemConfig::paper_at_load(opts.load).map_err(|e| format!("--load: {e}"))?;
     let shared = SharedSupervisor::new(supervisor);
-    // The bridges feed decisions back synchronously; the consumer thread
-    // coexists to drain anything pushed through decoupled senders and
-    // parks (zero CPU) whenever every queue is empty.
+    // The bridges feed decisions back synchronously and drain their own
+    // pushes, so they never wake the consumer thread; it coexists only
+    // to drain what decoupled senders push, and parks in between.
     let consumer = ConsumerThread::spawn_shared(&shared);
 
     // Live scrape endpoint. The responder thread holds its own handle on

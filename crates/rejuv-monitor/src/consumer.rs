@@ -49,8 +49,9 @@ impl ConsumerThread {
     }
 
     /// Spawns consumers over a [`SharedSupervisor`], coexisting with
-    /// synchronous [`crate::MonitorBridge`]s. `join` returns `None`;
-    /// the shared handle keeps owning the supervisor.
+    /// synchronous [`crate::MonitorBridge`]s, whose observations never
+    /// wake them (see [`ConsumerPool::spawn_shared`]). `join` returns
+    /// `None`; the shared handle keeps owning the supervisor.
     pub fn spawn_shared(shared: &SharedSupervisor) -> Self {
         ConsumerThread {
             pool: ConsumerPool::spawn_shared(shared),

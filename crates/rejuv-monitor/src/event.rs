@@ -97,6 +97,9 @@ pub enum MonitorEvent {
 /// An append-only JSONL writer for [`MonitorEvent`]s.
 pub struct EventLog {
     sink: Box<dyn Write + Send>,
+    /// The line being encoded, reused across records so steady-state
+    /// logging allocates nothing.
+    line: String,
 }
 
 impl std::fmt::Debug for EventLog {
@@ -108,15 +111,18 @@ impl std::fmt::Debug for EventLog {
 impl EventLog {
     /// Wraps any writer (a file, a `Vec<u8>` buffer, …).
     pub fn new(sink: Box<dyn Write + Send>) -> Self {
-        EventLog { sink }
+        EventLog {
+            sink,
+            line: String::new(),
+        }
     }
 
     /// Appends one event as a JSON line.
     pub fn record(&mut self, event: &MonitorEvent) -> io::Result<()> {
-        let line = serde_json::to_string(event)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.sink.write_all(line.as_bytes())?;
-        self.sink.write_all(b"\n")
+        self.line.clear();
+        event.serialize(&mut serde::Serializer::compact(&mut self.line));
+        self.line.push('\n');
+        self.sink.write_all(self.line.as_bytes())
     }
 
     /// Flushes the underlying writer.
@@ -188,7 +194,8 @@ pub fn read_events<R: BufRead>(reader: R) -> io::Result<Vec<MonitorEvent>> {
 /// final line that fails to parse is dropped and returned as
 /// `Some(line)` so the caller can report it. A parse failure on any
 /// *non-final* line is still an error: mid-log corruption is never
-/// silently skipped.
+/// silently skipped. The log is streamed: besides the parsed events,
+/// at most one unparsed line is held in memory.
 ///
 /// # Errors
 ///
@@ -197,30 +204,28 @@ pub fn read_events<R: BufRead>(reader: R) -> io::Result<Vec<MonitorEvent>> {
 pub fn read_events_tolerant<R: BufRead>(
     reader: R,
 ) -> io::Result<(Vec<MonitorEvent>, Option<String>)> {
-    let lines: Vec<String> = reader.lines().collect::<io::Result<_>>()?;
     let mut events = Vec::new();
-    let last_content = lines
-        .iter()
-        .rposition(|l| !l.trim().is_empty())
-        .unwrap_or(0);
-    for (number, line) in lines.iter().enumerate() {
+    // One line of look-ahead: a line that fails to parse is a torn tail
+    // only if no content line follows it, so hold it until the next
+    // content line (corruption) or the end of the log (torn tail).
+    let mut unparsed: Option<(usize, String, serde_json::Error)> = None;
+    for (number, line) in reader.lines().enumerate() {
+        let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        match serde_json::from_str(line) {
+        if let Some((at, _, e)) = unparsed.take() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("event log line {}: {e}", at + 1),
+            ));
+        }
+        match serde_json::from_str(&line) {
             Ok(event) => events.push(event),
-            Err(_) if number == last_content => {
-                return Ok((events, Some(line.clone())));
-            }
-            Err(e) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("event log line {}: {e}", number + 1),
-                ));
-            }
+            Err(e) => unparsed = Some((number, line, e)),
         }
     }
-    Ok((events, None))
+    Ok((events, unparsed.map(|(_, line, _)| line)))
 }
 
 #[cfg(test)]

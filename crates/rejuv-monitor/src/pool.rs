@@ -490,6 +490,12 @@ impl ConsumerPool {
     /// synchronous [`crate::MonitorBridge`]s. All workers share one
     /// notifier and contend for the supervisor lock; `join` returns
     /// `None` for the supervisor.
+    ///
+    /// Bridge observations never wake the workers: the synchronous path
+    /// drains its own push before releasing the supervisor lock (see
+    /// [`Supervisor::process_sync_at`]), so a worker beside bridges
+    /// alone parks once and stays parked. Only pushes through decoupled
+    /// [`crate::ShardSender`]s wake it.
     pub fn spawn_shared(supervisor: &SharedSupervisor) -> Self {
         let parts = supervisor.with(|s| {
             let n = s.config().consumers;
@@ -581,14 +587,7 @@ impl ConsumerPool {
                 for notifier in &shared.notifiers {
                     notifier.shutdown();
                 }
-                let mut result = Ok(());
-                for handle in handles {
-                    let joined = handle.join().expect("consumer worker panicked");
-                    if result.is_ok() {
-                        result = joined;
-                    }
-                }
-                result?;
+                join_workers(handles)?;
                 // With the drain plane gone, latch every queue's
                 // shutdown flag so a blocking producer that is (or
                 // gets) parked on a full queue wakes and returns short
@@ -638,14 +637,7 @@ impl ConsumerPool {
                 queues,
             } => {
                 notifier.shutdown();
-                let mut result = Ok(());
-                for handle in handles {
-                    let joined = handle.join().expect("consumer worker panicked");
-                    if result.is_ok() {
-                        result = joined;
-                    }
-                }
-                result?;
+                join_workers(handles)?;
                 for queue in &queues {
                     queue.shutdown();
                 }
@@ -664,6 +656,22 @@ impl ConsumerPool {
             }
         }
     }
+}
+
+/// Joins every worker, then surfaces the first failure. All of them
+/// are joined before a panic propagates: a worker left running past a
+/// panicked sibling would go on writing the log and checkpoints after
+/// `join` returned.
+fn join_workers(handles: Vec<JoinHandle<io::Result<()>>>) -> io::Result<()> {
+    let outcomes: Vec<_> = handles.into_iter().map(JoinHandle::join).collect();
+    let mut result = Ok(());
+    for outcome in outcomes {
+        let outcome = outcome.expect("consumer worker panicked");
+        if result.is_ok() {
+            result = outcome;
+        }
+    }
+    result
 }
 
 /// The drain loop of one shared-mode worker: contend for the

@@ -306,7 +306,9 @@ impl MutexInner {
 
     /// Single push attempt; does not count drops (the caller decides
     /// whether a full queue is a real drop or a blocking retry).
-    fn try_push(&self, value: f64, at: f64) -> bool {
+    /// `signal: false` skips the consumer wakeup; see
+    /// [`ObsQueue::push_quiet_at`].
+    fn try_push(&self, value: f64, at: f64, signal: bool) -> bool {
         fp!("queue.mutex.push");
         let mut buf = self.buf.lock().expect("queue lock poisoned");
         if buf.len() >= self.capacity {
@@ -317,7 +319,7 @@ impl MutexInner {
         self.occupancy.store(buf.len(), Ordering::Relaxed);
         drop(buf);
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        if was_empty {
+        if was_empty && signal {
             self.notifier.notify();
         }
         true
@@ -347,7 +349,7 @@ impl MutexInner {
 
     fn push_blocking(&self, value: f64, at: f64) -> bool {
         for _ in 0..BLOCKING_SPIN_LIMIT {
-            if self.try_push(value, at) {
+            if self.try_push(value, at, true) {
                 return true;
             }
             if self.shutdown.load(Ordering::SeqCst) {
@@ -553,8 +555,9 @@ impl RingInner {
         slot.seq.store(pos.wrapping_add(1), Ordering::Release);
     }
 
-    /// Single push attempt; does not count drops.
-    fn try_push(&self, value: f64, at: f64) -> bool {
+    /// Single push attempt; does not count drops. `signal: false`
+    /// skips the wakeup check; see [`ObsQueue::push_quiet_at`].
+    fn try_push(&self, value: f64, at: f64, signal: bool) -> bool {
         fp!("queue.ring.push");
         let pos = self.prod.0.tail.load(Ordering::Relaxed);
         if self.space_for(pos, 1) == 0 {
@@ -566,7 +569,9 @@ impl RingInner {
             .tail
             .store(pos.wrapping_add(1), Ordering::Release);
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        self.maybe_notify(pos, 1);
+        if signal {
+            self.maybe_notify(pos, 1);
+        }
         true
     }
 
@@ -622,7 +627,7 @@ impl RingInner {
     fn push_blocking(&self, value: f64, at: f64) -> bool {
         loop {
             for _ in 0..BLOCKING_SPIN_LIMIT {
-                if self.try_push(value, at) {
+                if self.try_push(value, at, true) {
                     return true;
                 }
                 std::thread::yield_now();
@@ -632,7 +637,7 @@ impl RingInner {
             }
             // SPSC: nothing but this thread pushes, so the freed slot
             // the park observed is still free.
-            let pushed = self.try_push(value, at);
+            let pushed = self.try_push(value, at, true);
             debug_assert!(pushed, "space observed under the park handshake vanished");
             if pushed {
                 return true;
@@ -909,12 +914,13 @@ impl FanInInner {
     }
 
     /// Writes `take` already-reserved samples into this thread's lane,
-    /// stamping each with a global ticket, then runs the wakeup check.
+    /// stamping each with a global ticket, then runs the wakeup check
+    /// unless `signal` is false (see [`ObsQueue::push_quiet_at`]).
     /// For the shared overflow lane, the ticket grab and the slot
     /// writes happen together under the lane lock so tickets stay
     /// ascending within the lane — the invariant the ticket-ordered
     /// drain relies on to never wait for a sample behind a later one.
-    fn publish(&self, it: &mut impl Iterator<Item = (f64, f64)>, take: usize) {
+    fn publish(&self, it: &mut impl Iterator<Item = (f64, f64)>, take: usize, signal: bool) {
         fp!("queue.fanin.publish");
         let lane_idx = self.lane_for_thread();
         let guard = if lane_idx == FANIN_LANES - 1 {
@@ -943,7 +949,9 @@ impl FanInInner {
         self.counters
             .accepted
             .fetch_add(take as u64, Ordering::Relaxed);
-        self.maybe_notify(first, take as u64);
+        if signal {
+            self.maybe_notify(first, take as u64);
+        }
     }
 
     /// Wakes an attached consumer that may have parked while the batch
@@ -969,11 +977,11 @@ impl FanInInner {
     }
 
     /// Single push attempt; does not count drops.
-    fn try_push(&self, value: f64, at: f64) -> bool {
+    fn try_push(&self, value: f64, at: f64, signal: bool) -> bool {
         if self.reserve(1) == 0 {
             return false;
         }
-        self.publish(&mut std::iter::once((value, at)), 1);
+        self.publish(&mut std::iter::once((value, at)), 1, signal);
         true
     }
 
@@ -984,14 +992,14 @@ impl FanInInner {
         if take == 0 {
             return 0;
         }
-        self.publish(it, take);
+        self.publish(it, take, true);
         take
     }
 
     fn push_blocking(&self, value: f64, at: f64) -> bool {
         loop {
             for _ in 0..BLOCKING_SPIN_LIMIT {
-                if self.try_push(value, at) {
+                if self.try_push(value, at, true) {
                     return true;
                 }
                 std::thread::yield_now();
@@ -1251,6 +1259,29 @@ impl ObsQueue {
     /// time; returns `false` (and counts a drop) if the queue is full.
     /// See [`ObsQueue::push`] for the dead-letter behaviour.
     pub fn push_at(&self, value: f64, at: f64) -> bool {
+        self.offer(value, at, true)
+    }
+
+    /// [`ObsQueue::push_at`] without the consumer wakeup: the push never
+    /// signals the attached [`WorkNotifier`].
+    ///
+    /// Only for a caller that drains this queue itself, to empty,
+    /// before it lets any other consumer near it — the synchronous
+    /// supervisor path, which pushes and drains under the supervisor
+    /// lock. The rule that keeps this loss-free: **whatever a quiet
+    /// push leaves in the queue is drained before the lock is
+    /// released.** That covers the quiet sample itself and any sample a
+    /// concurrent producer adds meanwhile — such a push finds the queue
+    /// non-empty (or, on the lock-free backends, the drain cursor
+    /// behind its own batch) and so skips its own wakeup, relying on
+    /// the drain already under way. The caller's drain-to-empty loop is
+    /// that drain. A push landing after the loop saw the queue empty
+    /// signals as usual, so a parked worker never sleeps over work.
+    pub(crate) fn push_quiet_at(&self, value: f64, at: f64) -> bool {
+        self.offer(value, at, false)
+    }
+
+    fn offer(&self, value: f64, at: f64, signal: bool) -> bool {
         if let Some(dlq) = self.dlq.get() {
             // While samples are pending in the DLQ, new lossy pushes
             // must queue *behind* them: the logical stream is always
@@ -1261,9 +1292,9 @@ impl ObsQueue {
             }
         }
         let accepted = match &self.inner {
-            Inner::Mutex(q) => q.try_push(value, at),
-            Inner::Ring(q) => q.try_push(value, at),
-            Inner::FanIn(q) => q.try_push(value, at),
+            Inner::Mutex(q) => q.try_push(value, at, signal),
+            Inner::Ring(q) => q.try_push(value, at, signal),
+            Inner::FanIn(q) => q.try_push(value, at, signal),
         };
         if accepted {
             return true;

@@ -782,15 +782,16 @@ pub struct SupervisorSnapshot {
 }
 
 impl Serialize for SupervisorSnapshot {
-    fn to_value(&self) -> serde::Value {
-        let mut map = BTreeMap::new();
+    fn serialize(&self, s: &mut serde::Serializer<'_>) {
+        // Keys in sorted order, as the derived impls write them.
+        let mut o = s.object();
         if !self.dlq.is_empty() {
-            map.insert("dlq".to_owned(), self.dlq.to_value());
+            o.field("dlq", &self.dlq);
         }
-        map.insert("metrics".to_owned(), self.metrics.to_value());
-        map.insert("shards".to_owned(), self.shards.to_value());
-        map.insert("version".to_owned(), self.version.to_value());
-        serde::Value::Object(map)
+        o.field("metrics", &self.metrics);
+        o.field("shards", &self.shards);
+        o.field("version", &self.version);
+        o.end();
     }
 }
 
@@ -1563,8 +1564,15 @@ impl Supervisor {
         self.process_sync_sample(shard, value, at)
     }
 
+    /// The synchronous path pushes without waking a consumer worker:
+    /// it drains the shard to empty itself before returning, so a
+    /// wakeup would only send a parked worker after an empty queue (and
+    /// into contention for the lock the caller holds). See
+    /// [`ObsQueue::push_quiet_at`] for why nothing can be stranded. (An
+    /// event-log or checkpoint error ends the drain early; callers treat
+    /// it as fatal, as [`crate::MonitorBridge`] does.)
     fn process_sync_sample(&mut self, shard: usize, value: f64, at: f64) -> io::Result<Decision> {
-        if !self.shards[shard].queue.push_at(value, at) {
+        if !self.shards[shard].queue.push_quiet_at(value, at) {
             self.shards[shard].sync_drops += 1;
         }
         while self.poll_shard(shard)? > 0 {}

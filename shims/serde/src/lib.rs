@@ -1,12 +1,21 @@
 //! Offline shim for the subset of `serde` this workspace uses.
 //!
-//! Instead of serde's zero-copy visitor architecture, the shim models
-//! serialization as conversion to and from an owned [`Value`] tree
-//! (JSON-shaped). `serde_json` (the sibling shim) renders and parses
-//! that tree. The derive macros come from the `serde_derive` shim and
-//! generate `Serialize`/`Deserialize` impls for plain structs, tuple
-//! structs and enums — `#[serde(...)]` attributes are not supported
-//! (and not used anywhere in the workspace).
+//! Instead of serde's visitor architecture, the shim models
+//! serialization as a direct JSON writer: [`Serialize`] impls stream
+//! themselves into a [`Serializer`], which renders compact or 2-space
+//! pretty JSON straight into a `String` with no intermediate tree.
+//! Deserialization goes the other way through an owned [`Value`] tree
+//! (JSON-shaped) that `serde_json` (the sibling shim) parses. The derive
+//! macros come from the `serde_derive` shim and generate
+//! `Serialize`/`Deserialize` impls for plain structs, tuple structs and
+//! enums — `#[serde(...)]` attributes are not supported (and not used
+//! anywhere in the workspace).
+//!
+//! Output is canonical: object keys are written in sorted byte order
+//! (derived impls sort their field names at expansion time; maps are
+//! sorted already or sorted on the way out), so typed output is
+//! byte-identical to rendering the parsed [`Value`] tree of the same
+//! document.
 
 #![forbid(unsafe_code)]
 
@@ -204,10 +213,193 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Conversion into the [`Value`] tree.
+/// Streaming JSON writer that [`Serialize`] impls render into.
+///
+/// Compact mode writes no whitespace; pretty mode breaks every
+/// non-empty array and object across lines with 2-space indentation
+/// (`"key": value` inside objects) and keeps empty ones as `[]` / `{}`.
+/// Non-finite floats render as `null`, matching real `serde_json`.
+#[derive(Debug)]
+pub struct Serializer<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    depth: usize,
+}
+
+impl<'a> Serializer<'a> {
+    /// A compact writer appending to `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        Serializer {
+            out,
+            pretty: false,
+            depth: 0,
+        }
+    }
+
+    /// A 2-space-indented writer appending to `out`.
+    pub fn pretty(out: &'a mut String) -> Self {
+        Serializer {
+            out,
+            pretty: true,
+            depth: 0,
+        }
+    }
+
+    /// Writes `null`.
+    pub fn write_null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` / `false`.
+    pub fn write_bool(&mut self, v: bool) {
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    /// Writes a non-negative integer.
+    pub fn write_u64(&mut self, v: u64) {
+        // Writing to a String cannot fail.
+        let _ = fmt::Write::write_fmt(self.out, format_args!("{v}"));
+    }
+
+    /// Writes a signed integer.
+    pub fn write_i64(&mut self, v: i64) {
+        let _ = fmt::Write::write_fmt(self.out, format_args!("{v}"));
+    }
+
+    /// Writes a float in Rust's shortest round-trip form, always with a
+    /// fraction (real serde_json prints `1.0`, not `1`); non-finite
+    /// values write `null`.
+    pub fn write_f64(&mut self, v: f64) {
+        if !v.is_finite() {
+            self.write_null();
+            return;
+        }
+        let start = self.out.len();
+        // `Display` for f64 never uses an exponent, so a missing `.`
+        // means an integral value.
+        let _ = fmt::Write::write_fmt(self.out, format_args!("{v}"));
+        if !self.out.as_bytes()[start..].contains(&b'.') {
+            self.out.push_str(".0");
+        }
+    }
+
+    /// Writes a JSON string literal, escaping quotes, backslashes and
+    /// control characters.
+    pub fn write_str(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let out = &mut *self.out;
+        out.push('"');
+        // Copy unescaped runs whole; the bytes that need escaping are
+        // ASCII, so every run ends on a char boundary.
+        let mut run = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            if b != b'"' && b != b'\\' && b >= 0x20 {
+                continue;
+            }
+            out.push_str(&s[run..i]);
+            run = i + 1;
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                _ => {
+                    out.push_str("\\u00");
+                    out.push(char::from(HEX[usize::from(b >> 4)]));
+                    out.push(char::from(HEX[usize::from(b & 0xf)]));
+                }
+            }
+        }
+        out.push_str(&s[run..]);
+        out.push('"');
+    }
+
+    /// Opens an object; write its entries with [`Compound::field`] (in
+    /// sorted key order) and close it with [`Compound::end`].
+    pub fn object(&mut self) -> Compound<'_, 'a> {
+        self.open('{', '}')
+    }
+
+    /// Opens an array; write its items with [`Compound::element`] and
+    /// close it with [`Compound::end`].
+    pub fn array(&mut self) -> Compound<'_, 'a> {
+        self.open('[', ']')
+    }
+
+    fn open(&mut self, open: char, close: char) -> Compound<'_, 'a> {
+        self.out.push(open);
+        self.depth += 1;
+        Compound {
+            ser: self,
+            close,
+            empty: true,
+        }
+    }
+
+    fn newline_indent(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..self.depth {
+                self.out.push_str("  ");
+            }
+        }
+    }
+}
+
+/// An open array or object inside a [`Serializer`].
+#[derive(Debug)]
+pub struct Compound<'s, 'a> {
+    ser: &'s mut Serializer<'a>,
+    close: char,
+    empty: bool,
+}
+
+impl<'a> Compound<'_, 'a> {
+    fn separate(&mut self) {
+        if !self.empty {
+            self.ser.out.push(',');
+        }
+        self.empty = false;
+        self.ser.newline_indent();
+    }
+
+    /// Writes one `key: value` object entry. Callers write entries in
+    /// sorted key order, which is what makes the output canonical.
+    pub fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.field_with(key, |s| value.serialize(s));
+    }
+
+    /// Writes one object entry whose value `write` renders.
+    pub fn field_with(&mut self, key: &str, write: impl FnOnce(&mut Serializer<'a>)) {
+        self.separate();
+        self.ser.write_str(key);
+        self.ser
+            .out
+            .push_str(if self.ser.pretty { ": " } else { ":" });
+        write(self.ser);
+    }
+
+    /// Writes one array element.
+    pub fn element<T: Serialize + ?Sized>(&mut self, value: &T) {
+        self.separate();
+        value.serialize(self.ser);
+    }
+
+    /// Closes the array or object.
+    pub fn end(self) {
+        self.ser.depth -= 1;
+        if !self.empty {
+            self.ser.newline_indent();
+        }
+        self.ser.out.push(self.close);
+    }
+}
+
+/// Rendering as JSON through a [`Serializer`].
 pub trait Serialize {
-    /// Serializes `self` into a [`Value`].
-    fn to_value(&self) -> Value;
+    /// Writes `self` into `serializer`.
+    fn serialize(&self, serializer: &mut Serializer<'_>);
 }
 
 /// Conversion out of the [`Value`] tree.
@@ -233,9 +425,43 @@ pub mod de {
 // ---------------------------------------------------------------------
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        match self {
+            Value::Null => s.write_null(),
+            Value::Bool(b) => s.write_bool(*b),
+            Value::I64(v) => s.write_i64(*v),
+            Value::U64(v) => s.write_u64(*v),
+            Value::F64(v) => s.write_f64(*v),
+            Value::String(v) => s.write_str(v),
+            Value::Array(items) => serialize_seq(s, items),
+            Value::Object(map) => serialize_map(s, map.iter()),
+        }
     }
+}
+
+/// Writes `items` as an array.
+fn serialize_seq<'t, T: Serialize + 't>(
+    s: &mut Serializer<'_>,
+    items: impl IntoIterator<Item = &'t T>,
+) {
+    let mut a = s.array();
+    for item in items {
+        a.element(item);
+    }
+    a.end();
+}
+
+/// Writes `(key, value)` entries, already in sorted key order, as an
+/// object.
+fn serialize_map<'t, V: Serialize + 't>(
+    s: &mut Serializer<'_>,
+    entries: impl IntoIterator<Item = (&'t String, &'t V)>,
+) {
+    let mut o = s.object();
+    for (key, value) in entries {
+        o.field(key, value);
+    }
+    o.end();
 }
 
 impl Deserialize for Value {
@@ -245,20 +471,20 @@ impl Deserialize for Value {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        (**self).serialize(s);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        (**self).serialize(s);
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.write_bool(*self);
     }
 }
 
@@ -273,12 +499,8 @@ impl Deserialize for bool {
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                if *self < 0 {
-                    Value::I64(*self as i64)
-                } else {
-                    Value::U64(*self as u64)
-                }
+            fn serialize(&self, s: &mut Serializer<'_>) {
+                s.write_i64(*self as i64);
             }
         }
         impl Deserialize for $t {
@@ -295,8 +517,8 @@ macro_rules! impl_signed {
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(*self as u64)
+            fn serialize(&self, s: &mut Serializer<'_>) {
+                s.write_u64(*self as u64);
             }
         }
         impl Deserialize for $t {
@@ -314,8 +536,8 @@ impl_signed!(i8, i16, i32, i64, isize);
 impl_unsigned!(u8, u16, u32, u64, usize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.write_f64(*self);
     }
 }
 
@@ -330,8 +552,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(f64::from(*self))
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.write_f64(f64::from(*self));
     }
 }
 
@@ -342,8 +564,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.write_str(self);
     }
 }
 
@@ -357,22 +579,22 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_owned())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.write_str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.write_str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, s: &mut Serializer<'_>) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.serialize(s),
+            None => s.write_null(),
         }
     }
 }
@@ -387,14 +609,14 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        serialize_seq(s, self);
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        serialize_seq(s, self);
     }
 }
 
@@ -410,8 +632,8 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        serialize_seq(s, self);
     }
 }
 
@@ -427,16 +649,18 @@ impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        serialize_seq(s, self);
     }
 }
 
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, s: &mut Serializer<'_>) {
+                let mut a = s.array();
+                $(a.element(&self.$idx);)+
+                a.end();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -462,12 +686,8 @@ impl_tuple! {
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        serialize_map(s, self);
     }
 }
 
@@ -483,12 +703,10 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
 }
 
 impl<V: Serialize, S> Serialize for HashMap<String, V, S> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        let mut entries: Vec<_> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        serialize_map(s, entries);
     }
 }
 
@@ -496,18 +714,62 @@ impl<V: Serialize, S> Serialize for HashMap<String, V, S> {
 mod tests {
     use super::*;
 
+    fn compact<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut out = String::new();
+        value.serialize(&mut Serializer::compact(&mut out));
+        out
+    }
+
+    fn pretty<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut out = String::new();
+        value.serialize(&mut Serializer::pretty(&mut out));
+        out
+    }
+
     #[test]
-    fn primitives_roundtrip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i32::from_value(&(-3i32).to_value()).unwrap(), -3);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        let v: Vec<f64> = vec![1.0, 2.0];
-        assert_eq!(Vec::<f64>::from_value(&v.to_value()).unwrap(), v);
-        let t = (1usize, 2.5f64);
-        assert_eq!(<(usize, f64)>::from_value(&t.to_value()).unwrap(), (1, 2.5));
-        let o: Option<u32> = None;
-        assert_eq!(Option::<u32>::from_value(&o.to_value()).unwrap(), None);
+    fn primitives_render() {
+        assert_eq!(compact(&42u64), "42");
+        assert_eq!(compact(&u64::MAX), "18446744073709551615");
+        assert_eq!(compact(&i64::MIN), "-9223372036854775808");
+        assert_eq!(compact(&-3i32), "-3");
+        assert_eq!(compact(&1.5f64), "1.5");
+        assert_eq!(compact(&1.0f64), "1.0");
+        assert_eq!(compact(&-0.0f64), "-0.0");
+        assert_eq!(compact(&1e21f64), "1000000000000000000000.0");
+        assert_eq!(compact(&1e-7f64), "0.0000001");
+        assert_eq!(compact(&f64::NAN), "null");
+        assert_eq!(compact(&f64::NEG_INFINITY), "null");
+        assert_eq!(compact(&true), "true");
+        assert_eq!(compact(&vec![1.0f64, 2.5]), "[1.0,2.5]");
+        assert_eq!(compact(&(1usize, 2.5f64)), "[1,2.5]");
+        assert_eq!(compact(&Option::<u32>::None), "null");
+        assert_eq!(compact(&'x'), "\"x\"");
+        assert_eq!(
+            compact("a\"b\\c\n\u{1}\u{1F600}"),
+            "\"a\\\"b\\\\c\\n\\u0001\u{1F600}\""
+        );
+    }
+
+    #[test]
+    fn maps_render_sorted_and_pretty_indents() {
+        let mut m = HashMap::new();
+        m.insert("b".to_string(), vec![1u8]);
+        m.insert("a".to_string(), Vec::new());
+        assert_eq!(compact(&m), r#"{"a":[],"b":[1]}"#);
+        assert_eq!(pretty(&m), "{\n  \"a\": [],\n  \"b\": [\n    1\n  ]\n}");
+        assert_eq!(pretty(&BTreeMap::<String, u8>::new()), "{}");
+    }
+
+    #[test]
+    fn primitives_deserialize() {
+        assert_eq!(u64::from_value(&Value::U64(42)).unwrap(), 42);
+        assert_eq!(i32::from_value(&Value::I64(-3)).unwrap(), -3);
+        assert_eq!(f64::from_value(&Value::F64(1.5)).unwrap(), 1.5);
+        assert!(f64::from_value(&Value::Null).unwrap().is_nan());
+        assert!(bool::from_value(&Value::Bool(true)).unwrap());
+        let arr = Value::Array(vec![Value::U64(1), Value::F64(2.5)]);
+        assert_eq!(<(usize, f64)>::from_value(&arr).unwrap(), (1, 2.5));
+        assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
     }
 
     #[test]

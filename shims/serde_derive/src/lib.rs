@@ -1,6 +1,7 @@
 //! Offline shim derive macros for the `serde` shim.
 //!
-//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for
+//! Implements `#[derive(Serialize)]` (a streaming JSON writer) and
+//! `#[derive(Deserialize)]` (a reader over the parsed `serde::Value`) for
 //! the item shapes this workspace uses: structs with named fields,
 //! tuple structs, unit structs, and enums with unit / tuple / struct
 //! variants. Generic items and `#[serde(...)]` attributes are not
@@ -237,75 +238,81 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
     variants
 }
 
-/// `#[derive(Serialize)]` — conversion into `serde::Value`.
+/// Statements writing `fields` (bound to the expressions `access(f)`)
+/// as the entries of the object open in `obj`, in sorted key order —
+/// the order a `BTreeMap` of the same keys iterates in, so derived
+/// output is canonical.
+fn write_fields(obj: &str, fields: &[String], access: impl Fn(&str) -> String) -> String {
+    let mut sorted: Vec<&String> = fields.iter().collect();
+    sorted.sort();
+    let mut s = String::new();
+    for f in sorted {
+        s.push_str(&format!("{obj}.field(\"{f}\", {});\n", access(f)));
+    }
+    s
+}
+
+/// Statements writing `elems` as an array into serializer `ser`.
+fn write_array(ser: &str, elems: &[String]) -> String {
+    let mut s = format!("let mut __a = {ser}.array();\n");
+    for e in elems {
+        s.push_str(&format!("__a.element({e});\n"));
+    }
+    s.push_str("__a.end();\n");
+    s
+}
+
+/// `#[derive(Serialize)]` — a streaming JSON writer over the fields.
+/// Structs become objects with sorted keys; enums are externally
+/// tagged (`"Unit"`, `{"Variant": payload}`).
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let name = &item.name;
     let body = match &item.data {
-        Data::UnitStruct => "::serde::Value::Null".to_string(),
-        Data::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+        Data::UnitStruct => "__s.write_null();".to_string(),
+        Data::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __s);".to_string(),
         Data::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
+            let elems: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            write_array("__s", &elems)
         }
-        Data::NamedStruct(fields) => {
-            let mut s = String::from("let mut m = ::std::collections::BTreeMap::new();\n");
-            for f in fields {
-                s.push_str(&format!(
-                    "m.insert(::std::string::String::from(\"{f}\"), \
-                     ::serde::Serialize::to_value(&self.{f}));\n"
-                ));
-            }
-            s.push_str("::serde::Value::Object(m)");
-            s
-        }
+        Data::NamedStruct(fields) => format!(
+            "let mut __o = __s.object();\n{}__o.end();",
+            write_fields("__o", fields, |f| format!("&self.{f}"))
+        ),
         Data::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vname = &v.name;
                 match &v.kind {
-                    VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => ::serde::Value::String(\
-                         ::std::string::String::from(\"{vname}\")),\n"
-                    )),
+                    VariantKind::Unit => {
+                        arms.push_str(&format!("{name}::{vname} => __s.write_str(\"{vname}\"),\n"))
+                    }
                     VariantKind::Tuple(n) => {
                         let binders: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
                         let payload = if *n == 1 {
-                            "::serde::Serialize::to_value(f0)".to_string()
+                            "__o.field(\"{vname}\", f0);\n".replace("{vname}", vname)
                         } else {
-                            let elems: Vec<String> = binders
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
+                            format!(
+                                "__o.field_with(\"{vname}\", |__s| {{\n{}}});\n",
+                                write_array("__s", &binders)
+                            )
                         };
                         arms.push_str(&format!(
                             "{name}::{vname}({binds}) => {{\n\
-                             let mut m = ::std::collections::BTreeMap::new();\n\
-                             m.insert(::std::string::String::from(\"{vname}\"), {payload});\n\
-                             ::serde::Value::Object(m)\n}}\n",
+                             let mut __o = __s.object();\n{payload}__o.end();\n}}\n",
                             binds = binders.join(", ")
                         ));
                     }
                     VariantKind::Named(fields) => {
-                        let mut inner =
-                            String::from("let mut fm = ::std::collections::BTreeMap::new();\n");
-                        for f in fields {
-                            inner.push_str(&format!(
-                                "fm.insert(::std::string::String::from(\"{f}\"), \
-                                 ::serde::Serialize::to_value({f}));\n"
-                            ));
-                        }
                         arms.push_str(&format!(
-                            "{name}::{vname} {{ {binds} }} => {{\n{inner}\
-                             let mut m = ::std::collections::BTreeMap::new();\n\
-                             m.insert(::std::string::String::from(\"{vname}\"), \
-                             ::serde::Value::Object(fm));\n\
-                             ::serde::Value::Object(m)\n}}\n",
-                            binds = fields.join(", ")
+                            "{name}::{vname} {{ {binds} }} => {{\n\
+                             let mut __o = __s.object();\n\
+                             __o.field_with(\"{vname}\", |__s| {{\n\
+                             let mut __fo = __s.object();\n{inner}__fo.end();\n}});\n\
+                             __o.end();\n}}\n",
+                            binds = fields.join(", "),
+                            inner = write_fields("__fo", fields, |f| f.to_string()),
                         ));
                     }
                 }
@@ -315,7 +322,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     };
     let code = format!(
         "impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+         fn serialize(&self, __s: &mut ::serde::Serializer<'_>) {{\n{body}\n}}\n}}\n"
     );
     code.parse()
         .expect("serde shim derive: generated Serialize impl parses")

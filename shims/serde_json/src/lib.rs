@@ -1,24 +1,27 @@
 //! Offline shim for the subset of `serde_json` this workspace uses:
 //! [`to_string`], [`to_string_pretty`], [`to_value`], [`from_str`] and
-//! the [`json!`] macro, all built on the `serde` shim's owned
-//! [`Value`] tree.
+//! the [`json!`] macro.
 //!
-//! Output is deterministic: objects render with sorted keys (the tree
-//! stores them in a `BTreeMap`) and numbers use Rust's shortest
-//! round-trip float formatting. Non-finite floats render as `null`,
-//! matching real `serde_json`.
+//! Serialization streams typed values through the `serde` shim's
+//! [`serde::Serializer`]; parsing builds the owned [`Value`] tree that
+//! `Deserialize` impls read from. Output is deterministic: objects
+//! render with sorted keys and numbers use Rust's shortest round-trip
+//! float formatting. Non-finite floats render as `null`, matching real
+//! `serde_json`.
 
 #![forbid(unsafe_code)]
 
 pub use serde::{Error, Value};
 
-/// Serializes `value` into its [`Value`] tree.
+/// Converts `value` into its [`Value`] tree by rendering it and parsing
+/// the text back (non-finite floats therefore come back as
+/// [`Value::Null`]).
 ///
 /// # Errors
 ///
 /// Never fails in the shim; the `Result` mirrors the real API.
 pub fn to_value<T: serde::Serialize>(value: T) -> Result<Value, Error> {
-    Ok(value.to_value())
+    from_str(&to_string(&value)?)
 }
 
 /// Serializes `value` to a compact JSON string.
@@ -28,7 +31,7 @@ pub fn to_value<T: serde::Serialize>(value: T) -> Result<Value, Error> {
 /// Never fails in the shim; the `Result` mirrors the real API.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    value.serialize(&mut serde::Serializer::compact(&mut out));
     Ok(out)
 }
 
@@ -39,7 +42,7 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// Never fails in the shim; the `Result` mirrors the real API.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
+    value.serialize(&mut serde::Serializer::pretty(&mut out));
     Ok(out)
 }
 
@@ -51,104 +54,6 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
     let value = Parser::new(s).parse_document()?;
     T::from_value(&value)
-}
-
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::I64(v) => {
-            out.push_str(&v.to_string());
-        }
-        Value::U64(v) => {
-            out.push_str(&v.to_string());
-        }
-        Value::F64(v) => write_f64(out, *v),
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(map) => {
-            if map.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_f64(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    // Rust's shortest round-trip formatting; ensure the text stays a
-    // float (real serde_json prints `1.0`, not `1`).
-    let s = format!("{v}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------
@@ -420,7 +325,8 @@ impl<'a> Parser<'a> {
 ///
 /// Supports the subset this workspace uses: object literals with
 /// string-literal keys, nested objects/arrays, and expression values
-/// (anything implementing [`serde::Serialize`]).
+/// (anything implementing [`serde::Serialize`], converted with
+/// [`to_value`]).
 #[macro_export]
 macro_rules! json {
     (null) => { $crate::Value::Null };
@@ -434,7 +340,7 @@ macro_rules! json {
         $crate::Value::Array(vec![ $( $crate::json!($elem) ),* ])
     };
     ($value:expr) => {
-        ::serde::Serialize::to_value(&$value)
+        $crate::to_value(&$value).expect("rendered JSON parses back")
     };
 }
 
