@@ -364,6 +364,12 @@ impl Scenario {
             }
             std::thread::sleep(Duration::from_millis(2));
         }
+        // Whether a wave push ever found its queue empty depends on how
+        // the waves interleaved with the workers. One more push into
+        // the now-empty queue signals the parked worker, so
+        // `queue.notify-work` is reached on every run; the join below
+        // drains it.
+        senders[0].send(5.0);
         let consumer = slot
             .lock()
             .unwrap_or_else(|e| e.into_inner())

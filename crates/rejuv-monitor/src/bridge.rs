@@ -3,7 +3,7 @@
 //! A simulated (or real) system expects a [`RejuvenationDetector`] it
 //! can call synchronously: one observation in, one decision out.
 //! [`MonitorBridge`] satisfies that contract while routing every
-//! observation through a shared [`Supervisor`] shard — ingestion queue,
+//! observation through a shared [`Supervisor`] shard — counters,
 //! metrics, event log and all — so "the detector the model sees" and
 //! "the stream the monitoring runtime supervises" are the same thing.
 //!
@@ -70,10 +70,14 @@ impl SharedSupervisor {
 
 /// A [`RejuvenationDetector`] façade over one supervisor shard.
 ///
-/// `observe` ingests the value into the shard's bounded queue and
-/// drains it synchronously, so the caller gets the decision for the
+/// `observe` hands the value to [`Supervisor::process_sync_at`] under
+/// the supervisor lock, so the caller gets the decision for the
 /// observation it just produced while the supervisor records the full
-/// observability trail.
+/// observability trail. On an idle shard — nothing queued, no dead
+/// letters pending, always the case when bridges are the shard's only
+/// producers — the value is decided in place without entering the
+/// ingestion queue; otherwise it queues behind the pending samples and
+/// the shard is drained to empty. Both routes leave the same bytes.
 #[derive(Debug, Clone)]
 pub struct MonitorBridge {
     inner: Arc<Mutex<Supervisor>>,

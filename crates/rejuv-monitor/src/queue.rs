@@ -1537,6 +1537,13 @@ impl ObsQueue {
         counters.waits.store(waits, Ordering::Relaxed);
     }
 
+    /// Counts one sample as accepted without enqueueing it: the direct
+    /// synchronous path decides a sample in place instead of pushing it
+    /// through an empty queue, and must account it as that push would.
+    pub(crate) fn count_accepted(&self) {
+        self.counters().accepted.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Lifetime count of accepted observations.
     pub fn accepted(&self) -> u64 {
         self.counters().accepted.load(Ordering::Relaxed)

@@ -254,7 +254,11 @@ fn fold_sample(digest: u64, value_bits: u64, fired: bool) -> u64 {
 }
 
 impl Shard {
-    fn apply(&mut self, value: f64) -> Decision {
+    /// The per-sample reference bookkeeping for one `(value, at)`
+    /// sample: one virtual `observe` call, the counters, the digest
+    /// fold, the last decision, the inter-observation latency and the
+    /// value histogram.
+    fn step(&mut self, value: f64, at: f64) -> Decision {
         let decision = self.detector.observe(value);
         self.processed += 1;
         self.digest = fold_sample(self.digest, value.to_bits(), decision.is_rejuvenate());
@@ -262,6 +266,13 @@ impl Shard {
             self.rejuvenations += 1;
         }
         self.last_decision = decision;
+        if at.is_finite() {
+            if let Some(prev) = self.last_at {
+                self.latency_hist.record(at - prev);
+            }
+            self.last_at = Some(at);
+        }
+        self.value_hist.record(value);
         decision
     }
 
@@ -334,13 +345,10 @@ impl DrainScratch {
 /// checkpoint/join), so both paths process, count and hash identically
 /// by construction. Returns how many observations were processed.
 ///
-/// The hot path is the **batch kernel**: one virtual
-/// [`RejuvenationDetector::observe_batch`] call per drained batch, the
-/// decision digest folded from the returned fire list, bulk
-/// [`Histogram::record_slice`] for the value/latency histograms and a
-/// vectorized timestamp-diff pass. `config.scalar_drain` selects the
-/// per-sample reference loop instead; both produce bitwise-identical
-/// shard state (digest, counters, histograms) and identical events.
+/// The pop is the only step of its own: the popped batch goes through
+/// [`apply_batch`], which the direct synchronous path
+/// ([`Supervisor::process_sync_at`]) also calls, on a one-sample batch
+/// it never queued.
 pub(crate) fn drain_shard(
     index: usize,
     shard: &mut Shard,
@@ -360,8 +368,8 @@ pub(crate) fn drain_shard(
     if batch.is_empty() {
         return 0;
     }
-    let seq_start = shard.processed;
     if logging {
+        let seq_start = shard.processed;
         let timed = batch.iter().any(|&(_, at)| at.is_finite());
         events.push(if timed {
             MonitorEvent::TimedBatch {
@@ -378,27 +386,45 @@ pub(crate) fn drain_shard(
             }
         });
     }
+    apply_batch(index, shard, config, scratch, logging, events);
+    scratch.batch.len()
+}
+
+/// Runs the batch in `scratch.batch` through one shard: detector,
+/// counters, digest, histograms (`drain_batch_size` included), the
+/// `supervisor.drain-applied` failpoint, bus events, and the
+/// rejuvenation and detector-snapshot events a log would record after
+/// the batch's own record, appended to `events` when `logging` is set.
+///
+/// The hot path is the **batch kernel**: one virtual
+/// [`RejuvenationDetector::observe_batch`] call per drained batch, the
+/// decision digest folded from the returned fire list, bulk
+/// [`Histogram::record_slice`] for the value/latency histograms and a
+/// vectorized timestamp-diff pass. `config.scalar_drain` selects the
+/// per-sample reference loop instead; both produce bitwise-identical
+/// shard state (digest, counters, histograms) and identical events.
+fn apply_batch(
+    index: usize,
+    shard: &mut Shard,
+    config: &SupervisorConfig,
+    scratch: &mut DrainScratch,
+    logging: bool,
+    events: &mut Vec<MonitorEvent>,
+) {
+    let batch = &scratch.batch;
+    let seq_start = shard.processed;
     scratch.fired.clear();
     let fired = &mut scratch.fired;
     if config.scalar_drain {
         // Reference path: one virtual dispatch, digest fold and bucket
         // search per sample. Kept selectable so the batch kernel below
         // is always one flag away from an A/B byte comparison.
-        let mut last_at = shard.last_at;
         for &(value, at) in batch.iter() {
             let seq = shard.processed;
-            if shard.apply(value).is_rejuvenate() {
+            if shard.step(value, at).is_rejuvenate() {
                 fired.push(seq);
             }
-            if at.is_finite() {
-                if let Some(prev) = last_at {
-                    shard.latency_hist.record(at - prev);
-                }
-                last_at = Some(at);
-            }
-            shard.value_hist.record(value);
         }
-        shard.last_at = last_at;
     } else {
         // Batch kernel: one virtual call per drained sub-chunk instead
         // of one per sample. The detector contract (`observe_batch` ≡
@@ -521,7 +547,50 @@ pub(crate) fn drain_shard(
             }
         }
     }
-    batch.len()
+}
+
+/// Turns `event` into the log record of the one-sample batch
+/// `(value, at)` — `TimedBatch`, or `Batch` when `at` is not finite —
+/// reusing its vectors when it already holds that variant.
+fn set_one_sample(event: &mut MonitorEvent, shard: u32, seq: u64, value: f64, at: f64) {
+    match event {
+        MonitorEvent::TimedBatch {
+            shard: s,
+            seq: q,
+            values,
+            times,
+        } if at.is_finite() => {
+            (*s, *q) = (shard, seq);
+            values.clear();
+            values.push(value);
+            times.clear();
+            times.push(at);
+        }
+        MonitorEvent::Batch {
+            shard: s,
+            seq: q,
+            values,
+        } if !at.is_finite() => {
+            (*s, *q) = (shard, seq);
+            values.clear();
+            values.push(value);
+        }
+        _ if at.is_finite() => {
+            *event = MonitorEvent::TimedBatch {
+                shard,
+                seq,
+                values: vec![value],
+                times: vec![at],
+            };
+        }
+        _ => {
+            *event = MonitorEvent::Batch {
+                shard,
+                seq,
+                values: vec![value],
+            };
+        }
+    }
 }
 
 /// Folds per-shard metric state (histograms and derived counters) into
@@ -1018,6 +1087,8 @@ pub struct Supervisor {
     log: Option<EventLog>,
     scratch: DrainScratch,
     event_scratch: Vec<MonitorEvent>,
+    /// The direct sync path's one-sample batch record, reused per call.
+    sample_event: MonitorEvent,
     checkpoint: Option<CheckpointStream>,
     /// Operational event bus, if attached ([`Supervisor::set_bus`]).
     bus: Option<Arc<EventBus>>,
@@ -1053,6 +1124,11 @@ impl Supervisor {
             metrics,
             log: None,
             event_scratch: Vec::new(),
+            sample_event: MonitorEvent::Batch {
+                shard: 0,
+                seq: 0,
+                values: Vec::new(),
+            },
             checkpoint: None,
             bus: None,
         }
@@ -1538,14 +1614,16 @@ impl Supervisor {
         Ok(total)
     }
 
-    /// Synchronously feeds one untimed observation: ingest, then drain
-    /// the shard until its queue is empty, returning the decision for
-    /// the *last* processed observation (i.e. this one, when the queue
-    /// was empty).
+    /// Synchronously feeds one untimed observation and drains the shard
+    /// until its queue is empty, returning the decision for the *last*
+    /// processed observation (i.e. this one, when the queue was empty).
     ///
     /// This is the live-attachment path: a model that needs a decision
     /// per observation degenerates the batched drain to batch size 1,
-    /// while decoupled producers keep the full batching.
+    /// while decoupled producers keep the full batching. When the
+    /// shard has nothing pending, the sample is decided in place
+    /// without passing through the queue; see
+    /// [`Supervisor::process_sync_at`].
     ///
     /// # Errors
     ///
@@ -1557,6 +1635,15 @@ impl Supervisor {
     /// [`Supervisor::process_sync`] with a simulation timestamp, feeding
     /// the inter-observation latency histogram.
     ///
+    /// **Direct decision.** When the shard's queue is empty and its
+    /// dead-letter queue (if any) holds nothing, the sample is decided
+    /// in place: the drain of a one-sample batch, without the push, the
+    /// pop or the event built for it. Counters, digest, histograms
+    /// (`drain_batch_size` records 1), bus events, log bytes, detector
+    /// snapshots and checkpoints come out exactly as that drain's
+    /// would. Otherwise the sample queues behind the pending ones and
+    /// the shard is drained to empty, as any other push would be.
+    ///
     /// # Errors
     ///
     /// Propagates event-log write failures.
@@ -1564,19 +1651,66 @@ impl Supervisor {
         self.process_sync_sample(shard, value, at)
     }
 
-    /// The synchronous path pushes without waking a consumer worker:
-    /// it drains the shard to empty itself before returning, so a
-    /// wakeup would only send a parked worker after an empty queue (and
-    /// into contention for the lock the caller holds). See
-    /// [`ObsQueue::push_quiet_at`] for why nothing can be stranded. (An
-    /// event-log or checkpoint error ends the drain early; callers treat
-    /// it as fatal, as [`crate::MonitorBridge`] does.)
+    /// Neither path wakes a consumer worker: the direct path never
+    /// pushes, and the queued path pushes quietly and drains
+    /// the shard to empty itself before returning, so a wakeup would
+    /// only send a parked worker after an empty queue (and into
+    /// contention for the lock the caller holds). See
+    /// [`ObsQueue::push_quiet_at`] for why nothing can be stranded. A
+    /// concurrent producer's push that lands during a direct decision
+    /// finds the queue empty and signals as usual; the backlog check
+    /// after it drains whatever is already visible. (An event-log or
+    /// checkpoint error ends the call early; callers treat it as fatal,
+    /// as [`crate::MonitorBridge`] does.)
     fn process_sync_sample(&mut self, shard: usize, value: f64, at: f64) -> io::Result<Decision> {
-        if !self.shards[shard].queue.push_quiet_at(value, at) {
+        let queue = &self.shards[shard].queue;
+        let idle = queue.backlog_hint() == 0 && queue.dlq().is_none_or(|dlq| dlq.pending() == 0);
+        if idle {
+            self.decide_in_place(shard, value, at)?;
+            if self.shards[shard].queue.backlog_hint() == 0 {
+                return Ok(self.shards[shard].last_decision);
+            }
+        } else if !self.shards[shard].queue.push_quiet_at(value, at) {
             self.shards[shard].sync_drops += 1;
         }
         while self.poll_shard(shard)? > 0 {}
         Ok(self.shards[shard].last_decision)
+    }
+
+    /// Decides one sample of an idle shard as a drained batch of one:
+    /// [`apply_batch`] on the sample, then the same log records and
+    /// checkpoint as `ingest_at` followed by `poll_shard`, in the same
+    /// order, with no queue traffic. The batch's log record is
+    /// `sample_event`, rewritten in place, so it allocates only when
+    /// the sample switches between timed and untimed.
+    fn decide_in_place(&mut self, index: usize, value: f64, at: f64) -> io::Result<()> {
+        let shard = &mut self.shards[index];
+        shard.queue.count_accepted();
+        let seq = shard.processed;
+        self.scratch.batch.clear();
+        self.scratch.batch.push((value, at));
+        let mut events = std::mem::take(&mut self.event_scratch);
+        events.clear();
+        let logging = self.log.is_some();
+        apply_batch(
+            index,
+            shard,
+            &self.config,
+            &mut self.scratch,
+            logging,
+            &mut events,
+        );
+        let result = match self.log.as_mut() {
+            Some(log) => {
+                set_one_sample(&mut self.sample_event, index as u32, seq, value, at);
+                log.record(&self.sample_event)
+                    .and_then(|()| events.iter().try_for_each(|event| log.record(event)))
+            }
+            None => Ok(()),
+        };
+        self.event_scratch = events;
+        result?;
+        self.maybe_checkpoint()
     }
 
     /// Observations processed by `shard` so far.
@@ -1839,6 +1973,11 @@ impl Supervisor {
             metrics: parts.metrics,
             log: parts.log,
             event_scratch: Vec::new(),
+            sample_event: MonitorEvent::Batch {
+                shard: 0,
+                seq: 0,
+                values: Vec::new(),
+            },
             checkpoint: parts.checkpoint,
             bus: parts.bus,
         }

@@ -180,6 +180,10 @@ fn threaded_run(backend: QueueBackend, listen: bool) -> (String, Vec<String>) {
         .expect("bind an ephemeral port")
     });
     let stop = Arc::new(AtomicBool::new(false));
+    // The producers start only once the first scrape has been served,
+    // so scrapes really overlap ingest: a run this short can otherwise
+    // finish before the scraper's first connect.
+    let (first_served, scraping) = std::sync::mpsc::channel::<()>();
     let scraper = server.as_ref().map(|server| {
         let addr = server.local_addr();
         let stop = Arc::clone(&stop);
@@ -195,6 +199,9 @@ fn threaded_run(backend: QueueBackend, listen: bool) -> (String, Vec<String>) {
                     stream.read_to_string(&mut reply).unwrap();
                     assert!(reply.contains("rejuv_exposition_scrapes_total"));
                     served += 1;
+                    if served == 1 {
+                        let _ = first_served.send(());
+                    }
                 }
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
@@ -202,6 +209,11 @@ fn threaded_run(backend: QueueBackend, listen: bool) -> (String, Vec<String>) {
         })
     });
 
+    if scraper.is_some() {
+        // A scraper that never gets through is caught by the `served`
+        // assertion below; the timeout only bounds the wait for it.
+        let _ = scraping.recv_timeout(std::time::Duration::from_secs(30));
+    }
     let senders: Vec<_> = (0..SHARDS)
         .map(|s| shared.with(|sup| sup.sender(s)))
         .collect();

@@ -257,13 +257,35 @@ impl<'a> Serializer<'a> {
 
     /// Writes a non-negative integer.
     pub fn write_u64(&mut self, v: u64) {
-        // Writing to a String cannot fail.
-        let _ = fmt::Write::write_fmt(self.out, format_args!("{v}"));
+        self.write_digits(false, v);
     }
 
     /// Writes a signed integer.
     pub fn write_i64(&mut self, v: i64) {
-        let _ = fmt::Write::write_fmt(self.out, format_args!("{v}"));
+        self.write_digits(v < 0, v.unsigned_abs());
+    }
+
+    /// Writes `magnitude` in decimal, `-`-prefixed when `negative`,
+    /// through a stack buffer: the bytes `Display` would write, without
+    /// the formatting machinery.
+    fn write_digits(&mut self, negative: bool, mut magnitude: u64) {
+        // 20 digits hold `u64::MAX`, plus one for the sign.
+        let mut buf = [0u8; 21];
+        let mut start = buf.len();
+        loop {
+            start -= 1;
+            buf[start] = b'0' + (magnitude % 10) as u8;
+            magnitude /= 10;
+            if magnitude == 0 {
+                break;
+            }
+        }
+        if negative {
+            start -= 1;
+            buf[start] = b'-';
+        }
+        self.out
+            .push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
     }
 
     /// Writes a float in Rust's shortest round-trip form, always with a
@@ -374,6 +396,27 @@ impl<'a> Compound<'_, 'a> {
     pub fn field_with(&mut self, key: &str, write: impl FnOnce(&mut Serializer<'a>)) {
         self.separate();
         self.ser.write_str(key);
+        self.value(write);
+    }
+
+    /// [`Compound::field`] with the key given as a finished JSON string
+    /// literal — quotes and escapes included, e.g. `"\"seq\""` — which
+    /// is copied as is. The derive macros quote field names when they
+    /// expand, so derived impls pay no per-key escape scan at run time.
+    pub fn field_quoted<T: Serialize + ?Sized>(&mut self, quoted_key: &str, value: &T) {
+        self.field_quoted_with(quoted_key, |s| value.serialize(s));
+    }
+
+    /// [`Compound::field_with`] with an already-quoted key; see
+    /// [`Compound::field_quoted`].
+    pub fn field_quoted_with(&mut self, quoted_key: &str, write: impl FnOnce(&mut Serializer<'a>)) {
+        self.separate();
+        self.ser.out.push_str(quoted_key);
+        self.value(write);
+    }
+
+    /// Writes the key/value separator, then the value.
+    fn value(&mut self, write: impl FnOnce(&mut Serializer<'a>)) {
         self.ser
             .out
             .push_str(if self.ser.pretty { ": " } else { ":" });
@@ -731,7 +774,11 @@ mod tests {
         assert_eq!(compact(&42u64), "42");
         assert_eq!(compact(&u64::MAX), "18446744073709551615");
         assert_eq!(compact(&i64::MIN), "-9223372036854775808");
+        assert_eq!(compact(&i64::MAX), "9223372036854775807");
+        assert_eq!(compact(&0u64), "0");
+        assert_eq!(compact(&0i64), "0");
         assert_eq!(compact(&-3i32), "-3");
+        assert_eq!(compact(&10u32), "10");
         assert_eq!(compact(&1.5f64), "1.5");
         assert_eq!(compact(&1.0f64), "1.0");
         assert_eq!(compact(&-0.0f64), "-0.0");

@@ -8,7 +8,7 @@
 //! supported. Parsing is done directly on the token stream (no `syn`),
 //! and code generation is string-based.
 
-use proc_macro::{Delimiter, TokenStream, TokenTree};
+use proc_macro::{Delimiter, Literal, TokenStream, TokenTree};
 
 #[derive(Debug)]
 enum Data {
@@ -238,6 +238,14 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
     variants
 }
 
+/// A Rust string literal holding `key` as a finished JSON string for
+/// `Compound::field_quoted`, so derived impls write each key without a
+/// per-key escape scan. Keys are Rust identifiers, which hold no
+/// character JSON escapes, so quoting is all it takes.
+fn quoted_key(key: &str) -> String {
+    Literal::string(&format!("\"{key}\"")).to_string()
+}
+
 /// Statements writing `fields` (bound to the expressions `access(f)`)
 /// as the entries of the object open in `obj`, in sorted key order —
 /// the order a `BTreeMap` of the same keys iterates in, so derived
@@ -247,7 +255,11 @@ fn write_fields(obj: &str, fields: &[String], access: impl Fn(&str) -> String) -
     sorted.sort();
     let mut s = String::new();
     for f in sorted {
-        s.push_str(&format!("{obj}.field(\"{f}\", {});\n", access(f)));
+        s.push_str(&format!(
+            "{obj}.field_quoted({}, {});\n",
+            quoted_key(f),
+            access(f)
+        ));
     }
     s
 }
@@ -290,11 +302,12 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                     }
                     VariantKind::Tuple(n) => {
                         let binders: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+                        let tag = quoted_key(vname);
                         let payload = if *n == 1 {
-                            "__o.field(\"{vname}\", f0);\n".replace("{vname}", vname)
+                            format!("__o.field_quoted({tag}, f0);\n")
                         } else {
                             format!(
-                                "__o.field_with(\"{vname}\", |__s| {{\n{}}});\n",
+                                "__o.field_quoted_with({tag}, |__s| {{\n{}}});\n",
                                 write_array("__s", &binders)
                             )
                         };
@@ -308,9 +321,10 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         arms.push_str(&format!(
                             "{name}::{vname} {{ {binds} }} => {{\n\
                              let mut __o = __s.object();\n\
-                             __o.field_with(\"{vname}\", |__s| {{\n\
+                             __o.field_quoted_with({tag}, |__s| {{\n\
                              let mut __fo = __s.object();\n{inner}__fo.end();\n}});\n\
                              __o.end();\n}}\n",
+                            tag = quoted_key(vname),
                             binds = fields.join(", "),
                             inner = write_fields("__fo", fields, |f| f.to_string()),
                         ));
