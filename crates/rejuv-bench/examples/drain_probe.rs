@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release -p rejuv-bench --example drain_probe`
 
 use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
-use rejuv_monitor::{QueueBackend, Supervisor, SupervisorConfig};
+use rejuv_monitor::{Supervisor, SupervisorConfig};
 use std::time::Instant;
 
 const N: usize = 1_000_000;
@@ -50,7 +50,6 @@ fn timed_drain(scalar_drain: bool) -> f64 {
         queue_capacity: N,
         drain_batch: 512,
         snapshot_every: None,
-        backend: QueueBackend::Mutex,
         consumers: 1,
         scalar_drain,
     };

@@ -82,15 +82,10 @@
 //!                        the checkpoint already covers are skipped and
 //!                        the final report is byte-identical to an
 //!                        uninterrupted replay of the same log
-//!   --queue BACKEND      ingestion queue backend, mutex|ring|fanin
-//!                        (default mutex). Execution strategy only:
-//!                        digests, reports and replays are
-//!                        byte-identical across backends, so a log
-//!                        recorded on one can be replayed on the other
 //!   --consumers N        drain-plane worker threads (default 1).
-//!                        Execution strategy only, like --queue:
-//!                        reports, traces and checkpoints are
-//!                        byte-identical across consumer counts
+//!                        Execution strategy only: reports, traces
+//!                        and checkpoints are byte-identical across
+//!                        consumer counts
 //!   --scalar-drain       debug knob: drain with the per-sample
 //!                        reference loop instead of the batch kernel
 //!                        (one detector dispatch per observation
@@ -154,8 +149,8 @@ use rejuv_ecommerce::cluster::{ClusterSystem, RoutingPolicy};
 use rejuv_ecommerce::{EcommerceSystem, SystemConfig};
 use rejuv_monitor::{
     load_snapshot, read_events_tolerant, replay_events_resumed, replay_fleet_events, save_snapshot,
-    ConsumerThread, EventBus, EventLog, FleetConfig, MonitorEvent, MonitorReport, PoolStats,
-    QueueBackend, SharedSupervisor, Supervisor, SupervisorConfig, SupervisorSnapshot,
+    ConsumerPool, EventBus, EventLog, FleetConfig, MonitorEvent, MonitorReport, PoolStats,
+    SharedSupervisor, Supervisor, SupervisorConfig, SupervisorSnapshot,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -186,7 +181,6 @@ struct Options {
     checkpoint_every_set: bool,
     checkpoint_secs: Option<f64>,
     resume: Option<PathBuf>,
-    queue: QueueBackend,
     consumers: usize,
     scalar_drain: bool,
     dlq: bool,
@@ -235,7 +229,6 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
         checkpoint_every_set: false,
         checkpoint_secs: None,
         resume: None,
-        queue: QueueBackend::Mutex,
         consumers: 1,
         scalar_drain: false,
         dlq: false,
@@ -298,7 +291,6 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
                     Some(parsed("--checkpoint-secs", &value("--checkpoint-secs")?)?);
             }
             "--resume" => opts.resume = Some(PathBuf::from(value("--resume")?)),
-            "--queue" => opts.queue = parsed("--queue", &value("--queue")?)?,
             "--consumers" => opts.consumers = parsed("--consumers", &value("--consumers")?)?,
             "--scalar-drain" => opts.scalar_drain = true,
             "--dlq" => opts.dlq = true,
@@ -502,11 +494,10 @@ fn write_report(report: &MonitorReport, path: Option<&PathBuf>) -> Result<(), St
 }
 
 /// Prints the end-of-run accounting. `stats` carries the drain-plane
-/// telemetry from [`ConsumerThread::join_stats`] when the run had a
-/// consumer pool (live mode); replay drains synchronously and passes
-/// `None`. Telemetry goes to stdout only — the report JSON stays
-/// byte-identical across backends and consumer counts, which CI checks
-/// with `cmp`.
+/// telemetry from [`ConsumerPool::join`] when the run had a consumer
+/// pool (live mode); replay drains synchronously and passes `None`.
+/// Telemetry goes to stdout only — the report JSON stays
+/// byte-identical across consumer counts, which CI checks with `cmp`.
 fn summarize(report: &MonitorReport, stats: Option<&PoolStats>) {
     println!(
         "processed {} observations over {} shards, {} rejuvenations, {} dropped",
@@ -585,9 +576,6 @@ fn run_replay(opts: &Options, log_path: &PathBuf) -> Result<(), String> {
                 queue_capacity: *queue_capacity as usize,
                 drain_batch: *drain_batch as usize,
                 snapshot_every: *snapshot_every,
-                // Backends are digest-equivalent, so replay need not run
-                // on the backend that recorded the log.
-                backend: opts.queue,
                 consumers: opts.consumers,
                 scalar_drain: opts.scalar_drain,
             };
@@ -628,7 +616,6 @@ fn run_replay(opts: &Options, log_path: &PathBuf) -> Result<(), String> {
                 queue_capacity: *queue_capacity as usize,
                 drain_batch: *drain_batch as usize,
                 snapshot_every: *snapshot_every,
-                backend: opts.queue,
                 consumers: opts.consumers,
                 scalar_drain: opts.scalar_drain,
             };
@@ -659,7 +646,6 @@ fn run_replay(opts: &Options, log_path: &PathBuf) -> Result<(), String> {
 fn run_live(opts: &Options) -> Result<(), String> {
     let config = SupervisorConfig {
         snapshot_every: opts.snapshot_every,
-        backend: opts.queue,
         consumers: opts.consumers,
         scalar_drain: opts.scalar_drain,
         ..SupervisorConfig::default()
@@ -744,21 +730,18 @@ fn run_live(opts: &Options) -> Result<(), String> {
     let host_config = SystemConfig::paper_at_load(opts.load).map_err(|e| format!("--load: {e}"))?;
     let shared = SharedSupervisor::new(supervisor);
     // The bridges feed decisions back synchronously and drain their own
-    // pushes, so they never wake the consumer thread; it coexists only
-    // to drain what decoupled senders push, and parks in between.
-    let consumer = ConsumerThread::spawn_shared(&shared);
+    // pushes, so they never wake the consumer pool; it coexists only to
+    // drain what decoupled senders push, and parks in between.
+    let pool = ConsumerPool::spawn_shared(&shared);
 
     // Live scrape endpoint. The responder thread holds its own handle on
     // the shared supervisor and renders every scrape from pure read-only
     // accessors, so artifacts stay byte-identical to a listener-free run.
     let metrics_server = match opts.listen {
         Some(addr) => {
-            let server = rejuv_monitor::MetricsServer::bind(
-                addr,
-                shared.clone(),
-                Some(consumer.stats_handle()),
-            )
-            .map_err(|e| format!("cannot bind --listen {addr}: {e}"))?;
+            let server =
+                rejuv_monitor::MetricsServer::bind(addr, shared.clone(), Some(pool.stats_handle()))
+                    .map_err(|e| format!("cannot bind --listen {addr}: {e}"))?;
             println!(
                 "metrics: listening on http://{}/metrics (also /healthz, /report)",
                 server.local_addr()
@@ -784,8 +767,8 @@ fn run_live(opts: &Options) -> Result<(), String> {
 
     println!(
         "live run: {} host(s), load {} CPUs, {} transactions, detector {}, seed {}, \
-         queue {}, {} consumer(s)",
-        hosts, opts.load, opts.transactions, detector_name, opts.seed, opts.queue, opts.consumers
+         {} consumer(s)",
+        hosts, opts.load, opts.transactions, detector_name, opts.seed, opts.consumers
     );
 
     if hosts == 1 {
@@ -863,9 +846,10 @@ fn run_live(opts: &Options) -> Result<(), String> {
         println!("metrics: served {scrapes} scrape(s)");
     }
 
-    let (_, stats) = consumer
-        .join_stats()
-        .map_err(|e| format!("consumer drain failed: {e}"))?;
+    let stats = pool
+        .join()
+        .map_err(|e| format!("consumer drain failed: {e}"))?
+        .stats;
     let mut supervisor = shared
         .try_into_inner()
         .expect("all bridges dropped with the system");

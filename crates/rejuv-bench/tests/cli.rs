@@ -262,7 +262,20 @@ fn monitord_rejects_unparsable_values_without_a_backtrace() {
         "invalid value \"banana\" for --hosts",
     );
     expect_failure(&["--load", "many"], 2, "invalid value \"many\" for --load");
-    expect_failure(&["--queue", "bogus"], 2, "--queue");
+}
+
+// The queue-backend switch is gone: a stale script that still passes
+// it must fail loudly instead of being silently accepted.
+#[test]
+fn removed_queue_flag_is_an_unknown_option() {
+    expect_failure(&["--queue", "mutex"], 2, "unknown option --queue");
+    expect_bin_failure(
+        bench_monitor_bin(),
+        "bench_monitor",
+        &["--queue", "all"],
+        2,
+        "unknown option --queue",
+    );
 }
 
 #[test]
@@ -451,8 +464,6 @@ fn bench_monitor_reports_an_unbindable_listen_address_cleanly() {
             "1",
             "--observations",
             "100",
-            "--queue",
-            "mutex",
             "--consumers",
             "1",
             "--listen",

@@ -39,31 +39,20 @@ pub const CATALOG: &[&str] = &[
     "supervisor.drain-applied",
     "supervisor.checkpoint-flush",
     "supervisor.checkpoint-emit",
-    // queue.rs — the consumer wakeup handshake (all backends share it).
+    // queue.rs — the consumer wakeup handshake.
     "queue.notify-work",
     "queue.wait-park",
-    // queue.rs — mutex backend.
+    // queue.rs — push, producer park, drain and producer wakeup.
     "queue.mutex.push",
     "queue.mutex.park",
     "queue.mutex.drain",
     "queue.mutex.unpark",
-    // queue.rs — lock-free SPSC ring backend.
-    "queue.ring.push",
-    "queue.ring.park",
-    "queue.ring.drain",
-    "queue.ring.unpark",
-    // queue.rs — multi-producer fan-in backend.
-    "queue.fanin.publish",
-    "queue.fanin.park",
-    "queue.fanin.drain",
-    "queue.fanin.unpark",
     // pool.rs — the work-stealing drain plane.
     "pool.drain-slot",
     "pool.steal-claimed",
     "pool.checkpoint-gate",
     "pool.shutdown-sweep",
-    // consumer.rs — the spawn/join façade.
-    "consumer.join",
+    "pool.join",
 ];
 
 /// Whether the crate was compiled with the `failpoints` feature (i.e.

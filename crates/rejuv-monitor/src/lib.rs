@@ -5,7 +5,7 @@
 //! observation streams the way a field deployment would:
 //!
 //! * [`supervisor::Supervisor`] — N independent monitored *shards*
-//!   (e.g. one per cluster host), each a bounded SPSC ingestion queue
+//!   (e.g. one per cluster host), each a bounded ingestion queue
 //!   ([`queue::ObsQueue`]) draining in batches through a boxed
 //!   [`rejuv_core::RejuvenationDetector`], with back-pressure accounting
 //!   so overload drops samples instead of blocking the source,
@@ -17,8 +17,8 @@
 //!   (write-temp-then-rename) so a crash never tears the file, and
 //!   [`replay_events_resumed`] continues a recorded run from a
 //!   checkpoint with byte-identical reports,
-//! * [`consumer::ConsumerThread`] / [`pool::ConsumerPool`] — the drain
-//!   plane: `SupervisorConfig::consumers` worker threads with static
+//! * [`pool::ConsumerPool`] — the drain plane:
+//!   `SupervisorConfig::consumers` worker threads with static
 //!   whole-shard ownership plus bounded work-stealing through an atomic
 //!   claim table, each *parking* on a condvar whenever its queues are
 //!   empty (zero idle CPU). Consumer count is a pure execution-strategy
@@ -77,7 +77,6 @@ pub mod assurance;
 pub mod bridge;
 pub mod bus;
 pub mod checkpoint;
-pub mod consumer;
 pub mod dlq;
 pub mod event;
 pub mod expo;
@@ -91,7 +90,6 @@ pub mod supervisor;
 pub use bridge::{MonitorBridge, SharedSupervisor};
 pub use bus::{BusSubscription, EventBus, OpEvent};
 pub use checkpoint::{load_snapshot, save_snapshot};
-pub use consumer::ConsumerThread;
 pub use dlq::{DeadLetterQueue, DlqStats};
 pub use event::{read_events, read_events_tolerant, EventLog, MonitorEvent, SharedBuffer};
 pub use expo::{DrainPlane, ExpoSnapshot, ShardRuntime};
@@ -99,7 +97,7 @@ pub use fleet::{FleetConfig, FleetError};
 pub use http::MetricsServer;
 pub use metrics::{Histogram, MetricsRegistry, MetricsReport};
 pub use pool::{ConsumerPool, PoolJoin, PoolStats, PoolStatsHandle};
-pub use queue::{ObsQueue, QueueBackend, Wakeup, WorkNotifier};
+pub use queue::{ObsQueue, Wakeup, WorkNotifier};
 pub use supervisor::{
     CheckpointClock, CheckpointSink, DetectorKindReport, DlqSnapshot, MonitorReport, ReloadError,
     RestoreError, ShardReport, ShardSender, ShardSnapshot, Supervisor, SupervisorConfig,

@@ -38,7 +38,7 @@ use crate::bus::{EventBus, OpEvent};
 use crate::dlq::{DeadLetterQueue, DlqStats};
 use crate::event::{EventLog, MonitorEvent};
 use crate::metrics::{Histogram, MetricsRegistry, MetricsReport};
-use crate::queue::{ObsQueue, QueueBackend, UNTIMED};
+use crate::queue::{ObsQueue, UNTIMED};
 use rejuv_core::{ConfigError, Decision, DetectorSnapshot, DetectorSpec, RejuvenationDetector};
 use rejuv_sim::{Observation, ObservationSink};
 use serde::{Deserialize, Serialize};
@@ -86,15 +86,11 @@ pub struct SupervisorConfig {
     /// Checkpoint cadence: emit a [`MonitorEvent::Snapshot`] every this
     /// many processed observations per shard (`None` disables).
     pub snapshot_every: Option<u64>,
-    /// Which [`QueueBackend`] each shard's ingestion queue runs on.
-    /// Purely an execution-strategy knob: digests, reports and replays
-    /// are bitwise identical across backends.
-    pub backend: QueueBackend,
-    /// How many consumer threads a [`crate::ConsumerThread`] (backed by
-    /// a [`crate::ConsumerPool`]) spawns to drain the shards. Another
-    /// pure execution-strategy knob: whole-shard ownership keeps
-    /// per-shard FIFO order, so digests, traces and checkpoints are
-    /// bitwise identical across consumer counts. Default 1.
+    /// How many consumer threads a [`crate::ConsumerPool`] spawns to
+    /// drain the shards. A pure execution-strategy knob: whole-shard
+    /// ownership keeps per-shard FIFO order, so digests, traces and
+    /// checkpoints are bitwise identical across consumer counts.
+    /// Default 1.
     pub consumers: usize,
     /// Debug knob: drain with the per-sample reference loop (one
     /// virtual `observe` call, digest fold and histogram bucket search
@@ -113,7 +109,6 @@ impl Default for SupervisorConfig {
             queue_capacity: 8_192,
             drain_batch: 512,
             snapshot_every: None,
-            backend: QueueBackend::Mutex,
             consumers: 1,
             scalar_drain: false,
         }
@@ -719,9 +714,8 @@ impl ShardSender {
         self.queue.push_blocking(value)
     }
 
-    /// Offers a batch of `(value, at)` samples in one queue operation
-    /// (one lock acquisition on the mutex backend, one tail publish on
-    /// the ring), returning how many were accepted; the rest are
+    /// Offers a batch of `(value, at)` samples under one queue lock
+    /// acquisition, returning how many were accepted; the rest are
     /// counted as drops.
     pub fn send_batch<I>(&self, samples: I) -> usize
     where
@@ -1197,7 +1191,7 @@ impl Supervisor {
         self.shards.push(Shard {
             detector,
             spec,
-            queue: ObsQueue::with_backend(self.config.queue_capacity, self.config.backend),
+            queue: ObsQueue::bounded(self.config.queue_capacity),
             processed: 0,
             rejuvenations: 0,
             digest,

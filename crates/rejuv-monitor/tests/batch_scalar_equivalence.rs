@@ -5,7 +5,7 @@
 //! (`observe_batch` + bulk histogram records + the vectorised
 //! timestamp-diff pass). The knob is a debug/ablation switch, never a
 //! semantic one: these tests run the same preloaded workload through
-//! both paths — across every queue backend and consumer count, for a
+//! both paths — at every consumer count, for a
 //! homogeneous SRAA fleet and the 4-kind example fleet — and require
 //! the event-log trace, the final report JSON, the final checkpoint
 //! JSON and every per-shard decision digest to match *byte for byte*.
@@ -16,20 +16,18 @@
 
 use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
 use rejuv_monitor::{
-    ConsumerPool, EventLog, FleetConfig, QueueBackend, SharedBuffer, Supervisor, SupervisorConfig,
+    ConsumerPool, EventLog, FleetConfig, SharedBuffer, Supervisor, SupervisorConfig,
 };
 use std::path::Path;
 
 const FLEET_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fleet.toml");
 const CONSUMER_COUNTS: [usize; 3] = [1, 2, 4];
-const BACKENDS: [QueueBackend; 3] = [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn];
 
-fn config(backend: QueueBackend, consumers: usize, scalar_drain: bool) -> SupervisorConfig {
+fn config(consumers: usize, scalar_drain: bool) -> SupervisorConfig {
     SupervisorConfig {
         queue_capacity: 2_048,
         drain_batch: 16,
         snapshot_every: Some(100),
-        backend,
         consumers,
         scalar_drain,
     }
@@ -101,45 +99,35 @@ where
     }
 }
 
-/// Runs every `{backend, consumer-count}` cell twice — batch kernel and
+/// Runs every consumer count twice — batch kernel and
 /// scalar drain — and requires the pairs to agree byte for byte.
 fn kernel_ab_is_byte_identical<F>(build: F, shards: usize, per_shard: u64)
 where
     F: Fn(SupervisorConfig) -> Supervisor,
 {
-    for backend in BACKENDS {
-        for consumers in CONSUMER_COUNTS {
-            let batch = pool_run(
-                || build(config(backend, consumers, false)),
-                shards,
-                per_shard,
-            );
-            let scalar = pool_run(
-                || build(config(backend, consumers, true)),
-                shards,
-                per_shard,
-            );
-            assert_eq!(
-                batch.digests, scalar.digests,
-                "{backend} x{consumers}: batch kernel and scalar drain digests diverged"
-            );
-            assert_eq!(
-                batch.trace, scalar.trace,
-                "{backend} x{consumers}: trace bytes diverged between kernels"
-            );
-            assert_eq!(
-                batch.report, scalar.report,
-                "{backend} x{consumers}: report bytes diverged between kernels"
-            );
-            assert_eq!(
-                batch.checkpoint, scalar.checkpoint,
-                "{backend} x{consumers}: checkpoint bytes diverged between kernels"
-            );
-            assert!(
-                !batch.trace.is_empty(),
-                "the workload must actually record events"
-            );
-        }
+    for consumers in CONSUMER_COUNTS {
+        let batch = pool_run(|| build(config(consumers, false)), shards, per_shard);
+        let scalar = pool_run(|| build(config(consumers, true)), shards, per_shard);
+        assert_eq!(
+            batch.digests, scalar.digests,
+            "x{consumers}: batch kernel and scalar drain digests diverged"
+        );
+        assert_eq!(
+            batch.trace, scalar.trace,
+            "x{consumers}: trace bytes diverged between kernels"
+        );
+        assert_eq!(
+            batch.report, scalar.report,
+            "x{consumers}: report bytes diverged between kernels"
+        );
+        assert_eq!(
+            batch.checkpoint, scalar.checkpoint,
+            "x{consumers}: checkpoint bytes diverged between kernels"
+        );
+        assert!(
+            !batch.trace.is_empty(),
+            "the workload must actually record events"
+        );
     }
 }
 
@@ -171,8 +159,7 @@ fn mixed_fleet_batch_and_scalar_drain_agree() {
 #[test]
 fn sync_path_batch_and_scalar_drain_agree() {
     let run = |scalar_drain: bool| {
-        let mut sup =
-            Supervisor::with_shards(config(QueueBackend::Mutex, 1, scalar_drain), 3, |_| sraa());
+        let mut sup = Supervisor::with_shards(config(1, scalar_drain), 3, |_| sraa());
         let mut fired = Vec::new();
         for i in 0..2_000u64 {
             for shard in 0..3 {

@@ -1,23 +1,20 @@
-//! Backend conformance for [`ObsQueue`]: the lock-free ring, the
-//! fan-in ring and the mutex queue must be observationally identical.
+//! Conformance for [`ObsQueue`] against a reference model.
 //!
-//! Property tests drive all backends through the same arbitrary
-//! sequence of push / batch-push / blocking-push / drain operations and
-//! require identical drained `(value, at)` sequences, accept/drop
-//! counts and lengths at every step — the contract that makes
-//! `--queue` a pure execution-strategy knob (digests, reports and
-//! replays cannot diverge if the drained sequences cannot). A second
-//! property pins batch pushes to the same semantics as repeated single
-//! pushes. Threaded tests then cover what single-threaded determinism
-//! cannot: loss-free shutdown drains through a [`ConsumerThread`] and
-//! per-shard supervisor digest equality across backends under real
-//! producer/consumer concurrency.
+//! Property tests drive the queue and an in-test `VecDeque`-plus-
+//! capacity model through the same arbitrary sequence of push /
+//! batch-push / blocking-push / drain operations and require identical
+//! drained `(value, at)` sequences, accept/drop counts and lengths
+//! after every step — the bounded-FIFO contract that digests, reports
+//! and replays are built on. A second property pins batch pushes to the
+//! same semantics as repeated single pushes. Threaded tests then cover
+//! what single-threaded determinism cannot: loss-free shutdown drains
+//! through a [`ConsumerPool`] and per-shard supervisor digest equality
+//! with a serial reference under real producer/consumer concurrency.
 
 use proptest::prelude::*;
 use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
-use rejuv_monitor::{
-    ConsumerThread, ObsQueue, QueueBackend, Supervisor, SupervisorConfig, WorkNotifier,
-};
+use rejuv_monitor::{ConsumerPool, ObsQueue, Supervisor, SupervisorConfig, WorkNotifier};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One step of the deterministic interleaving.
@@ -29,7 +26,7 @@ enum Op {
     PushBatch(Vec<f64>),
     /// `push_blocking_at`, with the single-threaded convention that a
     /// full queue is first relieved by draining one sample (applied
-    /// identically to both backends, so blocking never deadlocks the
+    /// identically to queue and model, so blocking never deadlocks the
     /// test and the op still exercises the blocking entry points).
     PushBlocking(f64, f64),
     /// `drain_into` with the given batch limit.
@@ -45,14 +42,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Applies one op to a queue, appending whatever it drains to `out`.
+/// Timestamp a batch-pushed value carries.
+fn batch_at(v: f64) -> f64 {
+    v * 0.5
+}
+
+/// Applies one op to the queue, appending whatever it drains to `out`.
 fn apply(q: &ObsQueue, op: &Op, out: &mut Vec<(f64, f64)>) {
     match op {
         Op::Push(v, at) => {
             q.push_at(*v, *at);
         }
         Op::PushBatch(values) => {
-            q.push_batch(values.iter().map(|&v| (v, v * 0.5)));
+            q.push_batch(values.iter().map(|&v| (v, batch_at(v))));
         }
         Op::PushBlocking(v, at) => {
             if q.len() == q.capacity() {
@@ -66,60 +68,111 @@ fn apply(q: &ObsQueue, op: &Op, out: &mut Vec<(f64, f64)>) {
     }
 }
 
+/// The bounded-FIFO contract, written as plainly as possible.
+struct Model {
+    buf: VecDeque<(f64, f64)>,
+    capacity: usize,
+    accepted: u64,
+    dropped: u64,
+}
+
+impl Model {
+    fn new(capacity: usize) -> Self {
+        Model {
+            buf: VecDeque::new(),
+            capacity,
+            accepted: 0,
+            dropped: 0,
+        }
+    }
+
+    fn push(&mut self, sample: (f64, f64)) {
+        if self.buf.len() < self.capacity {
+            self.buf.push_back(sample);
+            self.accepted += 1;
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    fn drain(&mut self, out: &mut Vec<(f64, f64)>, max: usize) {
+        let take = self.buf.len().min(max);
+        out.extend(self.buf.drain(..take));
+    }
+
+    fn apply(&mut self, op: &Op, out: &mut Vec<(f64, f64)>) {
+        match op {
+            Op::Push(v, at) => self.push((*v, *at)),
+            Op::PushBatch(values) => {
+                for &v in values {
+                    self.push((v, batch_at(v)));
+                }
+            }
+            Op::PushBlocking(v, at) => {
+                if self.buf.len() == self.capacity {
+                    self.drain(out, 1);
+                }
+                self.push((*v, *at));
+            }
+            Op::Drain(max) => self.drain(out, *max),
+        }
+    }
+}
+
+/// Samples as bit patterns, so NaN timestamps compare equal too.
+fn bits(samples: &[(f64, f64)]) -> Vec<(u64, u64)> {
+    samples
+        .iter()
+        .map(|&(v, at)| (v.to_bits(), at.to_bits()))
+        .collect()
+}
+
 proptest! {
     /// Any single-threaded interleaving of pushes, batch pushes,
-    /// blocking pushes and drains leaves both backends in agreement:
-    /// same drained samples (values *and* timestamps, bit-for-bit),
-    /// same accept/drop accounting, same occupancy after every step.
+    /// blocking pushes and drains leaves the queue in agreement with
+    /// the model after every step: same drained samples (values *and*
+    /// timestamps, bit-for-bit), same accept/drop accounting, same
+    /// occupancy; and a final shutdown drain loses nothing.
     #[test]
-    fn backends_agree_on_arbitrary_interleavings(
+    fn queue_matches_model_on_arbitrary_interleavings(
         capacity in 1usize..10,
         ops in proptest::collection::vec(op_strategy(), 0..60),
     ) {
-        let mutex = ObsQueue::with_backend(capacity, QueueBackend::Mutex);
-        let ring = ObsQueue::with_backend(capacity, QueueBackend::Ring);
-        let fanin = ObsQueue::with_backend(capacity, QueueBackend::FanIn);
-        let (mut out_m, mut out_r, mut out_f) = (Vec::new(), Vec::new(), Vec::new());
+        let queue = ObsQueue::bounded(capacity);
+        let mut model = Model::new(capacity);
+        let (mut out_q, mut out_m) = (Vec::new(), Vec::new());
         for op in &ops {
-            apply(&mutex, op, &mut out_m);
-            apply(&ring, op, &mut out_r);
-            apply(&fanin, op, &mut out_f);
-            prop_assert_eq!(mutex.len(), ring.len());
-            prop_assert_eq!(mutex.len(), fanin.len());
+            apply(&queue, op, &mut out_q);
+            model.apply(op, &mut out_m);
+            prop_assert_eq!(bits(&out_q), bits(&out_m), "drained after {:?}", op);
+            prop_assert_eq!(queue.accepted(), model.accepted, "accepted after {:?}", op);
+            prop_assert_eq!(queue.dropped(), model.dropped, "dropped after {:?}", op);
+            prop_assert_eq!(queue.len(), model.buf.len(), "len after {:?}", op);
+            prop_assert_eq!(queue.backlog_hint(), model.buf.len(), "hint after {:?}", op);
         }
-        // Final drain: a shutdown must lose nothing on any backend.
-        mutex.drain_into(&mut out_m, usize::MAX);
-        ring.drain_into(&mut out_r, usize::MAX);
-        fanin.drain_into(&mut out_f, usize::MAX);
-        prop_assert!(mutex.is_empty() && ring.is_empty() && fanin.is_empty());
-        let bits = |s: &[(f64, f64)]| -> Vec<(u64, u64)> {
-            s.iter().map(|&(v, at)| (v.to_bits(), at.to_bits())).collect()
-        };
-        prop_assert_eq!(bits(&out_m), bits(&out_r));
-        prop_assert_eq!(bits(&out_m), bits(&out_f));
-        prop_assert_eq!(mutex.accepted(), ring.accepted());
-        prop_assert_eq!(mutex.dropped(), ring.dropped());
-        prop_assert_eq!(mutex.accepted(), fanin.accepted());
-        prop_assert_eq!(mutex.dropped(), fanin.dropped());
+        // Shutdown, then the final drain: nothing accepted is lost.
+        queue.shutdown();
+        queue.drain_into(&mut out_q, usize::MAX);
+        model.drain(&mut out_m, usize::MAX);
+        prop_assert!(queue.is_empty());
+        prop_assert_eq!(bits(&out_q), bits(&out_m));
         prop_assert_eq!(
-            out_m.len() as u64,
-            mutex.accepted(),
+            out_q.len() as u64,
+            queue.accepted(),
             "every accepted sample was drained exactly once"
         );
     }
 
     /// `push_batch` is exactly repeated `push_at`: same accepted
-    /// prefix, same drop count, same drained samples — on each backend.
+    /// prefix, same drop count, same drained samples.
     #[test]
     fn batch_push_equals_repeated_singles(
-        backend_pick in 0usize..3,
         capacity in 1usize..10,
         prefill in 0usize..10,
         values in proptest::collection::vec(0.0f64..100.0, 0..20),
     ) {
-        let backend = [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn][backend_pick];
-        let batched = ObsQueue::with_backend(capacity, backend);
-        let singles = ObsQueue::with_backend(capacity, backend);
+        let batched = ObsQueue::bounded(capacity);
+        let singles = ObsQueue::bounded(capacity);
         for i in 0..prefill.min(capacity) {
             batched.push(i as f64);
             singles.push(i as f64);
@@ -135,9 +188,6 @@ proptest! {
         batched.drain_into(&mut out_b, usize::MAX);
         singles.drain_into(&mut out_s, usize::MAX);
         // Bitwise: the NaN-timestamped prefill must compare equal too.
-        let bits = |s: &[(f64, f64)]| -> Vec<(u64, u64)> {
-            s.iter().map(|&(v, at)| (v.to_bits(), at.to_bits())).collect()
-        };
         prop_assert_eq!(bits(&out_b), bits(&out_s));
     }
 }
@@ -153,26 +203,30 @@ fn detector() -> Box<dyn RejuvenationDetector> {
     ))
 }
 
+const SHARDS: usize = 3;
+const PER_SHARD: u64 = 20_000;
+
 /// The deterministic per-shard workload of the threaded tests.
 fn synthetic(shard: u64, i: u64) -> f64 {
     3.0 + ((i * 7 + shard * 13) % 23) as f64 * 0.6 + if i.is_multiple_of(311) { 40.0 } else { 0.0 }
 }
 
-/// Runs a threaded multi-shard supervisor workload on one backend:
-/// batched blocking producers, a parked consumer thread, shutdown
-/// drain. Returns the per-shard decision digests.
-fn threaded_digests(backend: QueueBackend) -> Vec<String> {
-    const SHARDS: usize = 3;
-    const PER_SHARD: u64 = 20_000;
-    let config = SupervisorConfig {
+fn config(consumers: usize) -> SupervisorConfig {
+    SupervisorConfig {
         queue_capacity: 64,
         drain_batch: 16,
-        backend,
+        consumers,
         ..SupervisorConfig::default()
-    };
-    let supervisor = Supervisor::with_shards(config, SHARDS, |_| detector());
+    }
+}
+
+/// Runs a threaded multi-shard supervisor workload: batched blocking
+/// producers, parked consumer threads, shutdown drain. Returns the
+/// per-shard decision digests.
+fn threaded_digests(consumers: usize) -> Vec<String> {
+    let supervisor = Supervisor::with_shards(config(consumers), SHARDS, |_| detector());
     let senders: Vec<_> = (0..SHARDS).map(|s| supervisor.sender(s)).collect();
-    let consumer = ConsumerThread::spawn(supervisor);
+    let pool = ConsumerPool::spawn(supervisor);
     std::thread::scope(|scope| {
         for (shard, sender) in senders.iter().enumerate() {
             scope.spawn(move || {
@@ -188,63 +242,82 @@ fn threaded_digests(backend: QueueBackend) -> Vec<String> {
             });
         }
     });
-    let supervisor = consumer
+    let supervisor = pool
         .join()
         .expect("no log attached")
-        .expect("owned consumer returns the supervisor");
+        .supervisor
+        .expect("owned pool returns the supervisor");
     let report = supervisor.report();
     assert_eq!(
         report.total_processed,
         SHARDS as u64 * PER_SHARD,
-        "shutdown drain is loss-free on {backend}"
+        "shutdown drain is loss-free with {consumers} consumer(s)"
     );
     assert_eq!(report.total_dropped, 0, "blocking producers never drop");
     report.shards.iter().map(|s| s.digest.clone()).collect()
 }
 
-/// Under real concurrency — parked consumer, blocking batched
-/// producers, shutdown drain — all three backends process every sample
-/// and land on identical per-shard decision digests.
+/// The same workload ingested and drained on one thread.
+fn serial_digests() -> Vec<String> {
+    let mut supervisor = Supervisor::with_shards(config(1), SHARDS, |_| detector());
+    for i in 0..PER_SHARD {
+        for shard in 0..SHARDS {
+            assert!(supervisor.ingest(shard, synthetic(shard as u64, i)));
+        }
+        while supervisor.poll_all().unwrap() > 0 {}
+    }
+    supervisor
+        .report()
+        .shards
+        .iter()
+        .map(|s| s.digest.clone())
+        .collect()
+}
+
+/// Under real concurrency — parked consumers, blocking batched
+/// producers, shutdown drain — every sample is processed and each
+/// shard lands on the serial reference's decision digest.
 #[test]
-fn threaded_stress_digests_match_across_backends() {
-    let mutex = threaded_digests(QueueBackend::Mutex);
-    let ring = threaded_digests(QueueBackend::Ring);
-    let fanin = threaded_digests(QueueBackend::FanIn);
-    assert_eq!(mutex, ring, "ring must be digest-equivalent to mutex");
-    assert_eq!(mutex, fanin, "fanin must be digest-equivalent to mutex");
+fn threaded_stress_digests_match_serial_reference() {
+    let serial = serial_digests();
+    for consumers in [1, 2] {
+        assert_eq!(
+            threaded_digests(consumers),
+            serial,
+            "{consumers} consumer(s) must be digest-equivalent to serial"
+        );
+    }
 }
 
 /// A consumer blocked on the notifier still sees a loss-free shutdown:
-/// samples pushed before `shutdown()` are drained, on every backend.
+/// samples pushed before `shutdown()` are drained, in order.
 #[test]
-fn shutdown_drain_is_loss_free_on_both_backends() {
-    for backend in [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn] {
-        let queue = ObsQueue::with_backend(32, backend);
-        let notifier = Arc::new(WorkNotifier::new());
-        queue.attach_notifier(Arc::clone(&notifier));
-        let consumer_q = queue.clone();
-        let consumer_n = Arc::clone(&notifier);
-        let consumer = std::thread::spawn(move || {
-            let mut out = Vec::new();
-            loop {
-                while consumer_q.drain_into(&mut out, 8) > 0 {}
-                if consumer_n.wait() == rejuv_monitor::Wakeup::Shutdown {
-                    break;
-                }
-            }
-            // Final drain after the shutdown signal.
+fn shutdown_drain_is_loss_free() {
+    let queue = ObsQueue::bounded(32);
+    let notifier = Arc::new(WorkNotifier::new());
+    queue.attach_notifier(Arc::clone(&notifier));
+    let consumer_q = queue.clone();
+    let consumer_n = Arc::clone(&notifier);
+    let consumer = std::thread::spawn(move || {
+        let mut out = Vec::new();
+        loop {
             while consumer_q.drain_into(&mut out, 8) > 0 {}
-            out
-        });
-        for i in 0..500u64 {
-            queue.push_blocking(i as f64);
+            if consumer_n.wait() == rejuv_monitor::Wakeup::Shutdown {
+                break;
+            }
         }
-        notifier.shutdown();
-        let out = consumer.join().unwrap();
-        assert_eq!(out.len(), 500, "{backend}: shutdown lost samples");
-        assert!(
-            out.iter().enumerate().all(|(i, &(v, _))| v == i as f64),
-            "{backend}: FIFO order violated"
-        );
+        // Final drain after the shutdown signal.
+        while consumer_q.drain_into(&mut out, 8) > 0 {}
+        out
+    });
+    for i in 0..500u64 {
+        queue.push_blocking(i as f64);
     }
+    notifier.shutdown();
+    let out = consumer.join().unwrap();
+    assert_eq!(out.len(), 500, "shutdown lost samples");
+    assert!(
+        out.iter().enumerate().all(|(i, &(v, _))| v == i as f64),
+        "FIFO order violated"
+    );
 }

@@ -14,8 +14,8 @@
 
 use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
 use rejuv_monitor::{
-    ConsumerPool, EventBus, EventLog, OpEvent, QueueBackend, ShardSender, SharedBuffer,
-    SharedSupervisor, Supervisor, SupervisorConfig,
+    ConsumerPool, EventBus, EventLog, OpEvent, ShardSender, SharedBuffer, SharedSupervisor,
+    Supervisor, SupervisorConfig,
 };
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,7 +70,7 @@ fn bridge_calls_never_wake_a_shared_pool_worker() {
 /// Waits until shard 0 has processed everything its queue accepted,
 /// panicking if that never happens (a sample stranded with the worker
 /// parked).
-fn wait_until_drained(shared: &SharedSupervisor, backend: QueueBackend) {
+fn wait_until_drained(shared: &SharedSupervisor) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let shard = &shared.report().shards[0];
@@ -79,7 +79,7 @@ fn wait_until_drained(shared: &SharedSupervisor, backend: QueueBackend) {
         }
         assert!(
             Instant::now() < deadline,
-            "{backend:?}: {} accepted samples stranded with the worker parked",
+            "{} accepted samples stranded with the worker parked",
             shard.accepted - shard.processed
         );
         std::thread::sleep(Duration::from_millis(1));
@@ -91,56 +91,46 @@ fn mixed_sync_and_async_producers_strand_no_sample() {
     const ROUNDS: usize = 12;
     const BATCHES: u64 = 400;
     const BATCH: usize = 8;
-    for backend in [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn] {
-        for _ in 0..ROUNDS {
-            let config = SupervisorConfig {
-                // Small enough that the lossy sender sometimes finds the
-                // queue full, so drops are exercised too; a drain batch
-                // below the sender's batch makes the sync path loop.
-                queue_capacity: 32,
-                drain_batch: 4,
-                backend,
-                ..SupervisorConfig::default()
-            };
-            let shared = SharedSupervisor::new(Supervisor::with_shards(config, 2, |_| sraa()));
-            let sender = shared.with(|s| s.sender(0));
-            let pool = ConsumerPool::spawn_shared(&shared);
-            let sending = AtomicBool::new(true);
-            let bridge_calls = std::thread::scope(|scope| {
-                // The bridge stops as soon as the sender does, so the
-                // run ends on whatever the two left in flight together.
-                let bridge = scope.spawn(|| {
-                    let mut bridge = shared.bridge(0);
-                    let mut calls = 0u64;
-                    while sending.load(Ordering::Acquire) {
-                        bridge.observe_at(calls as f64, value_at(calls));
-                        calls += 1;
-                    }
-                    calls
-                });
-                for b in 0..BATCHES {
-                    let batch: [(f64, f64); BATCH] =
-                        std::array::from_fn(|k| (value_at(b * BATCH as u64 + k as u64), f64::NAN));
-                    if backend == QueueBackend::Ring {
-                        // The ring is single-producer: a second producer
-                        // must serialise with the bridge, here through
-                        // the supervisor lock.
-                        shared.with(|_| sender.send_batch(batch));
-                    } else {
-                        sender.send_batch(batch);
-                    }
-                    std::thread::yield_now();
+    for _ in 0..ROUNDS {
+        let config = SupervisorConfig {
+            // Small enough that the lossy sender sometimes finds the
+            // queue full, so drops are exercised too; a drain batch
+            // below the sender's batch makes the sync path loop.
+            queue_capacity: 32,
+            drain_batch: 4,
+            ..SupervisorConfig::default()
+        };
+        let shared = SharedSupervisor::new(Supervisor::with_shards(config, 2, |_| sraa()));
+        let sender = shared.with(|s| s.sender(0));
+        let pool = ConsumerPool::spawn_shared(&shared);
+        let sending = AtomicBool::new(true);
+        let bridge_calls = std::thread::scope(|scope| {
+            // The bridge stops as soon as the sender does, so the
+            // run ends on whatever the two left in flight together.
+            let bridge = scope.spawn(|| {
+                let mut bridge = shared.bridge(0);
+                let mut calls = 0u64;
+                while sending.load(Ordering::Acquire) {
+                    bridge.observe_at(calls as f64, value_at(calls));
+                    calls += 1;
                 }
-                sending.store(false, Ordering::Release);
-                bridge.join().unwrap()
+                calls
             });
-            wait_until_drained(&shared, backend);
-            pool.join().unwrap();
-            let shard = &shared.report().shards[0];
-            let offered = bridge_calls + BATCHES * BATCH as u64;
-            assert_eq!(shard.accepted + shard.dropped, offered, "{backend:?}");
-            assert_eq!(shard.processed, offered - shard.dropped, "{backend:?}");
-        }
+            for b in 0..BATCHES {
+                let batch: [(f64, f64); BATCH] =
+                    std::array::from_fn(|k| (value_at(b * BATCH as u64 + k as u64), f64::NAN));
+                sender.send_batch(batch);
+                std::thread::yield_now();
+            }
+            sending.store(false, Ordering::Release);
+            bridge.join().unwrap()
+        });
+        wait_until_drained(&shared);
+        pool.join().unwrap();
+        let shard = &shared.report().shards[0];
+        let offered = bridge_calls + BATCHES * BATCH as u64;
+        assert_eq!(shard.accepted + shard.dropped, offered);
+        assert_eq!(shard.processed, offered - shard.dropped);
     }
 }
 
@@ -216,7 +206,6 @@ struct Layout {
 /// sink and a subscribed bus, plus the handles to read them back.
 fn rig(
     layout: Layout,
-    backend: QueueBackend,
 ) -> (
     Supervisor,
     SharedBuffer,
@@ -227,7 +216,6 @@ fn rig(
         queue_capacity: layout.queue_capacity,
         drain_batch: layout.drain_batch,
         snapshot_every: Some(25),
-        backend,
         ..SupervisorConfig::default()
     };
     let mut sup = Supervisor::with_shards(config, SHARDS, |_| sraa());
@@ -282,8 +270,8 @@ fn finish(
 }
 
 /// Runs `ops` through per-shard `MonitorBridge`s.
-fn bridged(ops: &[Op], layout: Layout, backend: QueueBackend) -> Artifacts {
-    let (sup, trace, checkpoints, subscription) = rig(layout, backend);
+fn bridged(ops: &[Op], layout: Layout) -> Artifacts {
+    let (sup, trace, checkpoints, subscription) = rig(layout);
     let shared = SharedSupervisor::new(sup);
     let mut bridges: Vec<_> = (0..SHARDS).map(|h| shared.bridge(h)).collect();
     for &op in ops {
@@ -307,8 +295,8 @@ fn bridged(ops: &[Op], layout: Layout, backend: QueueBackend) -> Artifacts {
 
 /// Runs `ops` through the queue: `ingest_at`, then `poll_shard` until
 /// the shard is empty.
-fn queued(ops: &[Op], layout: Layout, backend: QueueBackend) -> Artifacts {
-    let (mut sup, trace, checkpoints, subscription) = rig(layout, backend);
+fn queued(ops: &[Op], layout: Layout) -> Artifacts {
+    let (mut sup, trace, checkpoints, subscription) = rig(layout);
     for &op in ops {
         match op {
             Op::Sync(shard, value, at) => {
@@ -325,23 +313,13 @@ fn queued(ops: &[Op], layout: Layout, backend: QueueBackend) -> Artifacts {
 }
 
 fn assert_same_artifacts(ops: &[Op], layout: Layout) -> Artifacts {
-    let mut first = None;
-    for backend in [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn] {
-        let direct = bridged(ops, layout, backend);
-        let reference = queued(ops, layout, backend);
-        assert_eq!(direct.trace, reference.trace, "{backend:?}: trace");
-        assert_eq!(direct.report, reference.report, "{backend:?}: report");
-        assert_eq!(
-            direct.checkpoints, reference.checkpoints,
-            "{backend:?}: checkpoints"
-        );
-        assert_eq!(direct.bus, reference.bus, "{backend:?}: bus events");
-        match &first {
-            None => first = Some(direct),
-            Some(first) => assert_eq!(first, &direct, "{backend:?} vs mutex"),
-        }
-    }
-    first.expect("three backends ran")
+    let direct = bridged(ops, layout);
+    let reference = queued(ops, layout);
+    assert_eq!(direct.trace, reference.trace, "trace");
+    assert_eq!(direct.report, reference.report, "report");
+    assert_eq!(direct.checkpoints, reference.checkpoints, "checkpoints");
+    assert_eq!(direct.bus, reference.bus, "bus events");
+    direct
 }
 
 fn count(bus: &[OpEvent], pick: impl Fn(&OpEvent) -> bool) -> usize {
@@ -416,27 +394,21 @@ impl Write for PushingSink {
 
 #[test]
 fn a_push_landing_during_a_direct_decision_is_drained_by_the_same_call() {
-    for backend in [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn] {
-        let config = SupervisorConfig {
-            backend,
-            ..SupervisorConfig::default()
-        };
-        let mut sup = Supervisor::with_shards(config, 1, |_| sraa());
-        sup.set_log(EventLog::new(Box::new(PushingSink {
-            sender: sup.sender(0),
-            pushes: 3,
-        })));
-        for i in 0..6u64 {
-            // Each of the first three calls finds the shard idle and
-            // decides in place; its log write queues one sample, which
-            // the call must drain before it returns.
-            sup.process_sync_at(0, value_at(i), i as f64).unwrap();
-            let report = sup.report();
-            assert_eq!(
-                report.shards[0].processed, report.shards[0].accepted,
-                "{backend:?}: call {i} left a sample queued"
-            );
-        }
-        assert_eq!(sup.report().shards[0].processed, 9, "{backend:?}");
+    let mut sup = Supervisor::with_shards(SupervisorConfig::default(), 1, |_| sraa());
+    sup.set_log(EventLog::new(Box::new(PushingSink {
+        sender: sup.sender(0),
+        pushes: 3,
+    })));
+    for i in 0..6u64 {
+        // Each of the first three calls finds the shard idle and
+        // decides in place; its log write queues one sample, which
+        // the call must drain before it returns.
+        sup.process_sync_at(0, value_at(i), i as f64).unwrap();
+        let report = sup.report();
+        assert_eq!(
+            report.shards[0].processed, report.shards[0].accepted,
+            "call {i} left a sample queued"
+        );
     }
+    assert_eq!(sup.report().shards[0].processed, 9);
 }
